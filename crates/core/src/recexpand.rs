@@ -1,24 +1,32 @@
 //! The paper's new heuristics: `FullRecExpand` and `RecExpand` (Section 5,
 //! Algorithm 2).
 //!
-//! `FullRecExpand` walks the tree bottom-up. At every node `r` it repeatedly
-//! runs OptMinMem on the (already partially expanded) subtree rooted at `r`;
-//! as long as the resulting traversal needs more than `M` units of memory, it
-//! derives the FiF I/O function of that traversal, picks the node with
-//! positive I/O whose parent is scheduled the latest, and *expands* it by its
-//! I/O amount (paper, Figure 3). The expansion materializes the decision
+//! `FullRecExpand` walks the tree bottom-up. At every node `r` it asks for
+//! the optimal (OptMinMem) peak of the (already partially expanded) subtree
+//! rooted at `r`; as long as that peak exceeds `M`, it derives the FiF I/O
+//! function of the OptMinMem traversal of the subtree, picks the node with
+//! positive I/O whose parent is scheduled the latest, and *expands* it by
+//! its I/O amount (paper, Figure 3). The expansion materializes the decision
 //! "this part of the datum will sit on disk during this interval" inside the
 //! tree structure, so subsequent OptMinMem runs take it into account.
 //!
 //! `RecExpand` is the cheaper variant that performs at most two expansion
 //! iterations per node (the paper exits the `while` loop after 2 iterations).
 //!
+//! The peak test reads a [`PeakCache`]: Liu's canonical hill–valley
+//! sequences of every subtree, updated at each node of the bottom-up walk
+//! and, after an expansion, only along the new chain and its ancestors up to
+//! `r` — every other subtree is unchanged. So the test costs one Liu pass
+//! over the whole walk instead of one per inner node, and the task-carrying
+//! OptMinMem solve of `r`'s subtree runs only when an expansion will follow:
+//! once per expansion.
+//!
 //! The returned schedule is obtained by running OptMinMem on the final
 //! expanded tree and mapping it back to the original tree; its I/O volume is
 //! measured — like for every other algorithm — by the FiF simulator on the
 //! original tree.
 
-use oocts_minmem::{opt_min_mem_subtree_with, ScratchSpace};
+use oocts_minmem::{opt_min_mem_subtree_with, PeakCache, ScratchSpace};
 use oocts_tree::{fif_io_with, ExpandedTree, FifScratch, NodeId, Schedule, Tree, TreeError};
 
 /// Outcome of a `RecExpand`/`FullRecExpand` run.
@@ -77,28 +85,27 @@ pub fn rec_expand_with_limit(
     let cap = EXPANSION_CAP_FACTOR * tree.len().max(16);
     let mut hit_cap = false;
 
-    // Scratch state held across the whole expansion loop: the loop re-solves
-    // OptMinMem and replays FiF after every single expansion, so buffer reuse
-    // here dominates the heuristic's constant factor.
+    // Scratch state held across the whole expansion loop: every expansion
+    // solves OptMinMem and replays FiF once, so buffer reuse here dominates
+    // the heuristic's constant factor.
+    let mut peaks = PeakCache::new();
     let mut liu_scratch = ScratchSpace::new();
     let mut fif_scratch = FifScratch::new();
     let mut positions: Vec<usize> = Vec::new();
 
     // Bottom-up over the *original* tree. When node `r` is processed, the
     // subtrees of its children have already been expanded so that they can be
-    // executed without I/O; expansions triggered at `r` may touch any node of
-    // the current subtree (including nodes inserted by earlier expansions).
+    // executed without I/O (and their cached sequences are current);
+    // expansions triggered at `r` may touch any node of the current subtree
+    // (including nodes inserted by earlier expansions).
     'outer: for &r in tree.postorder() {
+        let mut peak = peaks.update(expanded.tree(), r);
         // Skip leaves: a single node always fits (checked above).
         if tree.is_leaf(r) {
             continue;
         }
         let mut iterations = 0usize;
-        loop {
-            let (schedule, peak) = opt_min_mem_subtree_with(expanded.tree(), r, &mut liu_scratch);
-            if peak <= memory {
-                break;
-            }
+        while peak > memory {
             if let Some(limit) = iteration_limit {
                 if iterations >= limit {
                     break;
@@ -111,10 +118,12 @@ pub fn rec_expand_with_limit(
             iterations += 1;
 
             // FiF I/O function of the OptMinMem traversal of this subtree.
+            let (schedule, solved) = opt_min_mem_subtree_with(expanded.tree(), r, &mut liu_scratch);
+            debug_assert_eq!(solved, peak, "cached and solved subtree peaks differ");
             let io = fif_io_with(expanded.tree(), &schedule, memory, &mut fif_scratch)?;
             // Node with positive I/O whose parent is scheduled the latest.
             schedule.positions_into(expanded.tree(), &mut positions);
-            let Some(victim) = pick_victim(expanded.tree(), &io.tau, &positions) else {
+            let Some(victim) = pick_victim(expanded.tree(), r, &io.tau, &positions) else {
                 // Unreachable: peak exceeds M, so the FiF policy must have
                 // performed some I/O; stop expanding rather than panic.
                 debug_assert!(false, "peak exceeds M but FiF reported no I/O");
@@ -122,7 +131,18 @@ pub fn rec_expand_with_limit(
             };
             let amount = io.tau[victim.index()];
             fif_scratch.recycle(io.tau);
-            expanded.expand(victim, amount);
+            let (mid, _top) = expanded.expand(victim, amount);
+
+            // Only the new chain (mid, then top) and its ancestors up to `r`
+            // changed; every other cached sequence still holds.
+            let mut node = mid;
+            peak = loop {
+                let updated = peaks.update(expanded.tree(), node);
+                match expanded.tree().parent(node) {
+                    Some(parent) if node != r => node = parent,
+                    _ => break updated,
+                }
+            };
         }
     }
 
@@ -139,12 +159,14 @@ pub fn rec_expand_with_limit(
     })
 }
 
-/// Among nodes with `τ > 0`, returns the one whose parent is scheduled the
-/// latest (ties broken towards the smaller node id, which is deterministic).
+/// Among nodes of `r`'s subtree with `τ > 0` (the FiF replay of a subtree
+/// schedule leaves `τ = 0` everywhere else), returns the one whose parent is
+/// scheduled the latest (ties broken towards the smaller node id, which is
+/// deterministic).
 // lint: no_alloc
-fn pick_victim(tree: &Tree, tau: &[u64], positions: &[usize]) -> Option<NodeId> {
+fn pick_victim(tree: &Tree, r: NodeId, tau: &[u64], positions: &[usize]) -> Option<NodeId> {
     let mut best: Option<(usize, NodeId)> = None;
-    for node in tree.node_ids() {
+    for &node in tree.subtree_postorder(r) {
         if tau[node.index()] == 0 {
             continue;
         }

@@ -5,13 +5,15 @@
 use oocts_core::bruteforce::brute_force_min_io;
 use oocts_core::homogeneous;
 use oocts_core::postorder::post_order_min_io;
-use oocts_core::recexpand::{full_rec_expand, rec_expand};
+use oocts_core::recexpand::{full_rec_expand, rec_expand, rec_expand_with_limit, RecExpandOutcome};
 use oocts_core::scheduler::{
     builtin_schedulers, FullRecExpand, OptMinMem, PostOrderMinIo, RecExpand, Scheduler,
 };
 use oocts_core::theorem2::schedule_for_io_function;
-use oocts_minmem::opt_min_mem;
-use oocts_tree::{check_traversal, fif_io, Tree};
+use oocts_minmem::{
+    opt_min_mem, opt_min_mem_subtree, opt_min_mem_subtree_with, PeakCache, ScratchSpace,
+};
+use oocts_tree::{check_traversal, fif_io, fif_io_with, ExpandedTree, FifScratch, NodeId, Tree};
 use proptest::prelude::*;
 
 /// Random trees with `n ∈ [1, max_nodes]` nodes and weights in `[1, max_weight]`.
@@ -40,6 +42,27 @@ fn random_tree(max_nodes: usize, max_weight: u64) -> impl Strategy<Value = Tree>
         })
 }
 
+/// Random binary trees: [`random_tree`]'s, with node `i` moved under node
+/// `i − 1` whenever its parent already has two children. [`random_tree`]'s
+/// bushy roots make `w̄_root` the optimal peak of most instances, so
+/// RecExpand rarely expands on them; like the paper's SYNTH trees, these
+/// mostly need I/O below their in-core peak, often several expansions.
+fn binary_tree(max_nodes: usize, max_weight: u64) -> impl Strategy<Value = Tree> {
+    random_tree(max_nodes, max_weight).prop_map(|tree| {
+        let mut arity = vec![0u8; tree.len()];
+        let mut parents = vec![None; tree.len()];
+        for v in tree.node_ids().skip(1) {
+            let p = tree.parent(v).expect("only node 0 is a root").index();
+            // Node i − 1 has no child yet: children have larger indices.
+            let p = if arity[p] < 2 { p } else { v.index() - 1 };
+            arity[p] += 1;
+            parents[v.index()] = Some(p);
+        }
+        let weights: Vec<u64> = tree.node_ids().map(|v| tree.weight(v)).collect();
+        Tree::from_parents(&weights, &parents).expect("valid random tree")
+    })
+}
+
 /// A feasible memory bound drawn between the structural lower bound and the
 /// optimal in-core peak (the interesting range of the paper).
 fn feasible_memory(tree: &Tree, fraction: f64) -> u64 {
@@ -49,8 +72,123 @@ fn feasible_memory(tree: &Tree, fraction: f64) -> u64 {
     lb + (span as f64 * fraction).round() as u64
 }
 
+/// The paper's three memory bounds: LB, Mmid = (LB + Peak − 1) / 2 and
+/// Peak − 1, each clamped to at least LB.
+fn paper_bounds(tree: &Tree) -> [u64; 3] {
+    let lb = tree.min_feasible_memory();
+    let below_peak = oocts_minmem::opt_min_mem_peak(tree).saturating_sub(1);
+    [lb, ((lb + below_peak) / 2).max(lb), below_peak.max(lb)]
+}
+
+/// Reference RecExpand: Algorithm 2 as written, re-solving OptMinMem on the
+/// whole subtree of `r` before every peak test and scanning every node for
+/// the victim. The production loop must match it exactly.
+///
+/// Alongside, it maintains a [`PeakCache`] the way the production loop
+/// does (each node of the walk, then the new chain and its ancestors up to
+/// `r` after an expansion) and checks, after every expansion, that the
+/// cached peak of every node reached so far equals a fresh solve — and at
+/// the end, that every node's does.
+fn reference_rec_expand(tree: &Tree, memory: u64, limit: Option<usize>) -> RecExpandOutcome {
+    let mut expanded = ExpandedTree::new(tree);
+    let cap = 64 * tree.len().max(16);
+    let mut hit_cap = false;
+    let mut peaks = PeakCache::new();
+    let mut liu = ScratchSpace::new();
+    let mut fif = FifScratch::new();
+    'outer: for &r in tree.postorder() {
+        peaks.update(expanded.tree(), r);
+        if tree.is_leaf(r) {
+            continue;
+        }
+        let mut iterations = 0usize;
+        loop {
+            let (schedule, peak) = opt_min_mem_subtree_with(expanded.tree(), r, &mut liu);
+            assert_eq!(peaks.peak(r), peak, "cached peak of {r:?}");
+            if peak <= memory || limit.is_some_and(|l| iterations >= l) {
+                break;
+            }
+            if expanded.expansions() >= cap {
+                hit_cap = true;
+                break 'outer;
+            }
+            iterations += 1;
+            let io = fif_io_with(expanded.tree(), &schedule, memory, &mut fif).unwrap();
+            let positions = schedule.positions(expanded.tree());
+            let victim = expanded
+                .tree()
+                .node_ids()
+                .filter(|v| io.tau[v.index()] > 0)
+                .max_by_key(|&v| {
+                    let parent_pos = expanded
+                        .tree()
+                        .parent(v)
+                        .map_or(usize::MAX, |p| positions[p.index()]);
+                    (parent_pos, std::cmp::Reverse(v))
+                })
+                .expect("peak exceeds M, so FiF performs I/O");
+            let (mid, _) = expanded.expand(victim, io.tau[victim.index()]);
+            let mut node = mid;
+            loop {
+                peaks.update(expanded.tree(), node);
+                if node == r {
+                    break;
+                }
+                node = expanded
+                    .tree()
+                    .parent(node)
+                    .expect("r is an ancestor of the chain");
+            }
+            // Every node the walk has reached: the original nodes up to `r`
+            // in postorder, and every inserted chain node.
+            let reached = |v: NodeId| {
+                v.index() >= tree.len() || tree.postorder_position(v) <= tree.postorder_position(r)
+            };
+            for v in expanded.tree().node_ids().filter(|&v| reached(v)) {
+                let solved = opt_min_mem_subtree(expanded.tree(), v).1;
+                assert_eq!(
+                    peaks.peak(v),
+                    solved,
+                    "cached peak of {v:?} after an expansion"
+                );
+            }
+        }
+    }
+    if !hit_cap {
+        for v in expanded.tree().node_ids() {
+            let solved = opt_min_mem_subtree(expanded.tree(), v).1;
+            assert_eq!(peaks.peak(v), solved, "final cached peak of {v:?}");
+        }
+    }
+    let root = expanded.tree().root();
+    let (schedule, _) = opt_min_mem_subtree_with(expanded.tree(), root, &mut liu);
+    RecExpandOutcome {
+        schedule: expanded.to_original_schedule(&schedule),
+        forced_io: expanded.total_forced_io(),
+        expansions: expanded.expansions(),
+        hit_iteration_cap: hit_cap,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The peak-cache RecExpand loop is the full-re-solve loop, exactly:
+    /// same schedule, expansions, forced I/O and cap flag, for every
+    /// iteration limit at the paper's three memory bounds.
+    #[test]
+    fn rec_expand_matches_the_full_resolve_reference(tree in binary_tree(60, 10)) {
+        for memory in paper_bounds(&tree) {
+            for limit in [Some(1), Some(2), Some(5), None] {
+                let got = rec_expand_with_limit(&tree, memory, limit).unwrap();
+                let want = reference_rec_expand(&tree, memory, limit);
+                prop_assert_eq!(got.schedule.order(), want.schedule.order(), "M = {}, limit {:?}", memory, limit);
+                prop_assert_eq!(got.expansions, want.expansions);
+                prop_assert_eq!(got.forced_io, want.forced_io);
+                prop_assert_eq!(got.hit_iteration_cap, want.hit_iteration_cap);
+            }
+        }
+    }
 
     /// Every heuristic is at least as expensive as the brute-force optimum and
     /// the generic lower bound `OptPeak − M`.

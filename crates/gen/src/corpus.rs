@@ -292,7 +292,7 @@ pub fn parse_golden(text: &str) -> Result<Vec<GoldenRecord>, CorpusError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oocts_tree::TreeBuilder;
+    use oocts_tree::{NodeId, TreeBuilder};
 
     fn sample() -> Tree {
         let mut b = TreeBuilder::new();
@@ -346,6 +346,13 @@ mod tests {
         assert!(matches!(
             parse_instance(two_roots),
             Err(CorpusError::Tree(TreeError::MultipleRoots(_, _)))
+        ));
+        // Two children of weight 2^63: their sum overflows at the root.
+        let overflow =
+            "oocts-corpus v1\nname z\nnodes 3\n- 1\n0 9223372036854775808\n0 9223372036854775808\n";
+        assert!(matches!(
+            parse_instance(overflow),
+            Err(CorpusError::Tree(TreeError::WeightOverflow(NodeId(0))))
         ));
         // Unrepresentable names.
         assert!(matches!(

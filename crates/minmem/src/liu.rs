@@ -7,20 +7,24 @@
 //! theorem, restated as Theorem 3 in the paper), the node itself is executed
 //! last, and the combined profile is re-decomposed.
 //!
+//! [`PeakCache`] keeps the same per-node sequences without their task lists,
+//! so a caller that changes a tree locally can re-derive the optimal peak of
+//! every affected subtree from the unaffected children's sequences.
+//!
 //! Correctness is property-tested against an exhaustive search over all
 //! topological orders for small random trees (see `tests/` and the
 //! `bruteforce` module).
 
 use oocts_tree::{NodeId, Schedule, Tree};
 
-use crate::segments::{decompose_into, merge_into, Atom, Segment};
+use crate::segments::{compose_into, join_tasks, Atom, Segment};
 
 /// Reusable working buffers for OptMinMem.
 ///
 /// One Liu run builds and tears down a segment list per node; callers that
-/// solve repeatedly (the RecExpand expansion loop re-solves subtrees after
+/// solve repeatedly (the RecExpand expansion loop re-solves a subtree before
 /// every node expansion) keep a single `ScratchSpace` so every `Vec` —
-/// per-node results, the merge and decompose staging areas, and the pools of
+/// per-node results, the composition staging areas, and the pools of
 /// emptied segment/task vectors — is recycled across runs.
 #[derive(Debug, Default)]
 pub struct ScratchSpace {
@@ -29,8 +33,6 @@ pub struct ScratchSpace {
     results: Vec<Vec<Segment>>,
     /// The children's sequences detached for merging at the current node.
     child_bufs: Vec<Vec<Segment>>,
-    /// Merge output for the current node.
-    merged: Vec<Segment>,
     /// Absolute memory profile of the current node before re-decomposition.
     atoms: Vec<Atom>,
     /// Emptied segment vectors awaiting reuse.
@@ -43,14 +45,6 @@ impl ScratchSpace {
     /// Creates an empty scratch space; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn pooled_segs(&mut self) -> Vec<Segment> {
-        self.seg_pool.pop().unwrap_or_default()
-    }
-
-    fn pooled_tasks(&mut self) -> Vec<NodeId> {
-        self.task_pool.pop().unwrap_or_default()
     }
 }
 
@@ -123,65 +117,129 @@ pub fn optimal_segments_with(
     // lint: allow(L003, one-time scratch growth to the tree size: amortized across runs)
     scratch.results.resize_with(tree.len(), Vec::new);
     for &node in order {
-        let w = tree.weight(node);
-        let mut segs = scratch.pooled_segs();
-        if tree.is_leaf(node) {
-            let mut tasks = scratch.pooled_tasks();
-            tasks.push(node); // lint: allow(L003, single push into a pooled task vector: amortized)
-                              // lint: allow(L003, single push into a pooled segment vector: amortized)
-            segs.push(Segment {
-                hill: w,
-                valley: w,
-                tasks,
-            });
-        } else {
-            // Detach the children's canonical sequences and merge them in
-            // non-increasing hill − valley order (Liu's composition).
-            scratch.child_bufs.clear();
-            for &c in tree.children(node) {
-                let child_segs = std::mem::take(&mut scratch.results[c.index()]);
-                scratch.child_bufs.push(child_segs); // lint: allow(L003, staging area reuses its capacity across nodes: amortized)
-            }
-            merge_into(&mut scratch.child_bufs, &mut scratch.merged);
-            for buf in scratch.child_bufs.drain(..) {
-                debug_assert!(buf.is_empty());
-                scratch.seg_pool.push(buf); // lint: allow(L003, recycling an emptied vector into the pool: amortized)
-            }
-
-            // Absolute profile: the merged children runs, then the node
-            // itself executed last.
-            let cw = tree.children_weight(node);
-            let wbar = w.max(cw);
-            scratch.atoms.clear();
-            let mut base = 0u64;
-            for seg in scratch.merged.drain(..) {
-                let peak = base + seg.hill;
-                base += seg.valley;
-                // lint: allow(L003, staging area reuses its capacity across nodes: amortized)
-                scratch.atoms.push(Atom {
-                    peak,
-                    resident: base,
-                    tasks: seg.tasks,
-                });
-            }
-            debug_assert_eq!(base, cw, "children valleys must sum to their weights");
-            // Executing the node: all children outputs (and nothing else from
-            // this subtree) are resident, so the absolute peak is exactly w̄
-            // and the resident data afterwards is the node's own output.
-            let mut tasks = scratch.task_pool.pop().unwrap_or_default();
-            tasks.push(node); // lint: allow(L003, single push into a pooled task vector: amortized)
-                              // lint: allow(L003, staging area reuses its capacity across nodes: amortized)
-            scratch.atoms.push(Atom {
-                peak: wbar,
-                resident: w,
-                tasks,
-            });
-            let (atoms, task_pool) = (&mut scratch.atoms, &mut scratch.task_pool);
-            decompose_into(atoms, &mut segs, task_pool);
+        // Detach the children's canonical sequences for the composition.
+        scratch.child_bufs.clear();
+        for &c in tree.children(node) {
+            let child_segs = std::mem::take(&mut scratch.results[c.index()]);
+            scratch.child_bufs.push(child_segs); // lint: allow(L003, staging area reuses its capacity across nodes: amortized)
+        }
+        let mut tasks = scratch.task_pool.pop().unwrap_or_default();
+        tasks.push(node); // lint: allow(L003, single push into a pooled task vector: amortized)
+        let mut segs = scratch.seg_pool.pop().unwrap_or_default();
+        let task_pool = &mut scratch.task_pool;
+        compose_into(
+            &mut scratch.child_bufs,
+            tree.weight(node),
+            tree.children_weight(node),
+            tasks,
+            &mut scratch.atoms,
+            &mut segs,
+            |segment| join_tasks(segment, task_pool),
+        );
+        for buf in scratch.child_bufs.drain(..) {
+            debug_assert!(buf.is_empty());
+            scratch.seg_pool.push(buf); // lint: allow(L003, recycling an emptied vector into the pool: amortized)
         }
         scratch.results[node.index()] = segs;
     }
     std::mem::take(&mut scratch.results[root.index()])
+}
+
+/// Liu's canonical hill–valley sequence of every subtree, kept without task
+/// lists so that it can be maintained node by node.
+///
+/// [`PeakCache::update`] recomposes one node from its children's cached
+/// sequences with the same composition step as [`optimal_segments_with`]
+/// and returns the node's optimal peak. Updating every node bottom-up costs
+/// one Liu pass and yields the optimal peak of every subtree; after a local
+/// change to the tree (a node expansion), only the changed nodes and their
+/// ancestors need updating, children first.
+///
+/// The sequences sit back to back in one arena, so a pass allocates nothing
+/// per node.
+#[derive(Debug, Default)]
+pub struct PeakCache {
+    /// Every node's canonical (hill, valley) sequence, back to back.
+    arena: Vec<Segment<()>>,
+    /// Start and length of each node's sequence in `arena`, by node id.
+    spans: Vec<(usize, usize)>,
+    /// Arena entries that no span covers any more.
+    dead: usize,
+    /// Copies of the current node's children's sequences, drained by the
+    /// composition.
+    child_bufs: Vec<Vec<Segment<()>>>,
+    /// Absolute memory profile of the current node.
+    atoms: Vec<Atom<()>>,
+    /// The current node's new sequence.
+    out: Vec<Segment<()>>,
+}
+
+impl PeakCache {
+    /// Creates an empty cache; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Recomposes `node`'s sequence from its children's cached sequences,
+    /// which must be up to date, and returns the optimal peak of the
+    /// subtree rooted at `node`.
+    // lint: no_alloc
+    pub fn update(&mut self, tree: &Tree, node: NodeId) -> u64 {
+        // lint: allow(L003, grows with the tree, once per inserted node: amortized)
+        self.spans.resize(tree.len(), (0, 0));
+        let children = tree.children(node);
+        if self.child_bufs.len() < children.len() {
+            // lint: allow(L003, staging area grows to the largest arity once: amortized)
+            self.child_bufs.resize_with(children.len(), Vec::new);
+        }
+        for (buf, &c) in self.child_bufs.iter_mut().zip(children) {
+            let (start, len) = self.spans[c.index()];
+            buf.clear();
+            buf.extend_from_slice(&self.arena[start..start + len]);
+        }
+        compose_into(
+            &mut self.child_bufs[..children.len()],
+            tree.weight(node),
+            tree.children_weight(node),
+            (),
+            &mut self.atoms,
+            &mut self.out,
+            |_| (),
+        );
+        self.store(node);
+        self.peak(node)
+    }
+
+    /// Makes the freshly composed sequence `node`'s, appended at the end of
+    /// the arena; its old span dies. The arena is compacted whenever dead
+    /// entries make up more than half of it.
+    // lint: no_alloc
+    fn store(&mut self, node: NodeId) {
+        self.dead += self.spans[node.index()].1;
+        self.spans[node.index()] = (self.arena.len(), self.out.len());
+        self.arena.extend_from_slice(&self.out);
+        if self.dead > self.arena.len() / 2 {
+            let mut live = Vec::with_capacity(self.arena.len() - self.dead); // lint: allow(L003, compaction after half the arena died: amortized)
+            for span in &mut self.spans {
+                let (start, len) = *span;
+                *span = (live.len(), len);
+                live.extend_from_slice(&self.arena[start..start + len]);
+            }
+            self.arena = live;
+            self.dead = 0;
+        }
+    }
+
+    /// The optimal peak of the subtree rooted at `node` as of its last
+    /// [`PeakCache::update`] (0 if it was never updated): the first hill of
+    /// its canonical sequence.
+    // lint: no_alloc
+    pub fn peak(&self, node: NodeId) -> u64 {
+        match self.spans.get(node.index()) {
+            Some(&(start, len)) if len > 0 => self.arena[start].hill,
+            _ => 0,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -261,6 +319,74 @@ mod tests {
         assert_eq!(peak, 9);
         assert_eq!(s.len(), 3);
         s.validate(&t).unwrap();
+    }
+
+    #[test]
+    fn peak_cache_matches_every_subtree_solve() {
+        for t in [fig6_tree(), fig2b_tree()] {
+            let mut cache = PeakCache::new();
+            for &v in t.postorder() {
+                let peak = cache.update(&t, v);
+                assert_eq!(peak, opt_min_mem_subtree(&t, v).1);
+            }
+            for v in t.node_ids() {
+                assert_eq!(cache.peak(v), opt_min_mem_subtree(&t, v).1);
+            }
+        }
+    }
+
+    /// Re-weights random nodes of a chain with long canonical sequences and
+    /// updates each one's ancestors: the re-stored sequences force
+    /// compactions, and every cached peak stays that of a fresh solve.
+    #[test]
+    fn peak_cache_follows_local_changes() {
+        // From the leaf up, heavy weights decrease and light ones increase:
+        // every heavy/light pair is one segment.
+        let n = 40usize;
+        let weights: Vec<u64> = (0..n)
+            .map(|i| {
+                let j = (n - 1 - i) as u64;
+                if j.is_multiple_of(2) {
+                    200 - j
+                } else {
+                    1 + j
+                }
+            })
+            .collect();
+        let parents: Vec<Option<usize>> = (0..n).map(|i| i.checked_sub(1)).collect();
+        let mut t = Tree::from_parents(&weights, &parents).unwrap();
+        let mut cache = PeakCache::new();
+        for &v in t.postorder() {
+            cache.update(&t, v);
+        }
+        assert!(cache.arena.len() > n, "the chain's sequences are long");
+        let mut state = 7u64;
+        let mut compacted = false;
+        for _ in 0..400 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            let node = NodeId::from_index((state >> 33) as usize % n);
+            t.set_weight(node, 1 + (state >> 13) % 200);
+            let before = cache.arena.len();
+            let mut v = Some(node);
+            while let Some(u) = v {
+                cache.update(&t, u);
+                v = t.parent(u);
+            }
+            compacted |= cache.arena.len() < before;
+            let live: usize = cache.spans.iter().map(|&(_, len)| len).sum();
+            assert_eq!(
+                cache.arena.len(),
+                live + cache.dead,
+                "dead entries counted exactly"
+            );
+            assert!(cache.dead <= cache.arena.len() / 2);
+            for u in t.node_ids() {
+                assert_eq!(cache.peak(u), opt_min_mem_subtree(&t, u).1);
+            }
+        }
+        assert!(compacted, "some update compacted the arena");
     }
 
     #[test]

@@ -14,23 +14,30 @@
 //! composition theorem states that an optimal traversal of a node is obtained
 //! by merging the segments of its children's optimal traversals in
 //! non-increasing `hill − valley` order and executing the node last.
+//!
+//! That composition step, [`compose_into`], is written once over a generic
+//! segment payload: the task lists of OptMinMem's schedule
+//! (`Segment<Vec<NodeId>>`, the default), or nothing at all
+//! (`Segment<()>`) when only the peaks are wanted, as in
+//! [`crate::PeakCache`].
 
 use oocts_tree::NodeId;
 
 /// A contiguous piece of a traversal, summarised by its hill and valley
-/// (both relative to the memory resident when the segment starts).
+/// (both relative to the memory resident when the segment starts), plus a
+/// payload: the tasks it executes, or `()` when only the profile matters.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Segment {
+pub struct Segment<T = Vec<NodeId>> {
     /// Maximum memory used during the segment (relative to its start).
     pub hill: u64,
     /// Memory still resident at the end of the segment (relative to its
     /// start). Always `≤ hill`.
     pub valley: u64,
     /// The tasks executed by this segment, in order.
-    pub tasks: Vec<NodeId>,
+    pub tasks: T,
 }
 
-impl Segment {
+impl<T> Segment<T> {
     /// The sort key of Liu's composition theorem: segments are merged in
     /// non-increasing `hill − valley` order.
     #[inline]
@@ -43,13 +50,13 @@ impl Segment {
 /// traversal: the peak reached while the step runs and the memory resident
 /// after it, both *absolute* within the subtree being combined.
 #[derive(Debug, Clone)]
-pub struct Atom {
+pub struct Atom<T = Vec<NodeId>> {
     /// Peak memory while the atom runs (absolute).
     pub peak: u64,
     /// Memory resident after the atom (absolute).
     pub resident: u64,
     /// The tasks of this atom.
-    pub tasks: Vec<NodeId>,
+    pub tasks: T,
 }
 
 /// Canonical hill–valley decomposition of a sequence of atoms.
@@ -62,92 +69,98 @@ pub fn decompose(atoms: Vec<Atom>) -> Vec<Segment> {
     let mut atoms = atoms;
     let mut out = Vec::new();
     let mut task_pool = Vec::new();
-    decompose_into(&mut atoms, &mut out, &mut task_pool);
+    decompose_into(&mut atoms, &mut out, |segment| {
+        join_tasks(segment, &mut task_pool)
+    });
     out
 }
 
-/// Buffer-reusing variant of [`decompose`]: drains `atoms` into canonical
-/// segments appended to `out` (cleared first). Task lists are *moved* out of
-/// the atoms — the first atom of each segment donates its vector, the rest
-/// are appended into it — and every emptied vector is returned to
-/// `task_pool`, so a caller cycling through many nodes reuses all task
-/// storage.
+/// Buffer-reusing variant of [`decompose`] over any payload: drains `atoms`
+/// into canonical segments appended to `out` (cleared first). `join` turns
+/// the (non-empty) run of atoms forming one segment into that segment's
+/// payload.
 // lint: no_alloc
-pub fn decompose_into(
-    atoms: &mut Vec<Atom>,
-    out: &mut Vec<Segment>,
-    task_pool: &mut Vec<Vec<NodeId>>,
+pub fn decompose_into<T>(
+    atoms: &mut Vec<Atom<T>>,
+    out: &mut Vec<Segment<T>>,
+    mut join: impl FnMut(&mut [Atom<T>]) -> T,
 ) {
     out.clear();
-    let n = atoms.len();
-    let mut start = 0usize;
+    let mut rest = &mut atoms[..];
     let mut resident_before = 0u64;
-    while start < n {
-        // First index in [start, n) with the maximum peak.
-        let mut hill_idx = start;
-        for i in start..n {
-            if atoms[i].peak > atoms[hill_idx].peak {
+    while !rest.is_empty() {
+        // First index with the maximum peak.
+        let mut hill_idx = 0usize;
+        for i in 1..rest.len() {
+            if rest[i].peak > rest[hill_idx].peak {
                 hill_idx = i;
             }
         }
-        // Last index in [hill_idx, n) with the minimum resident.
+        // Last index at or after it with the minimum resident.
         let mut valley_idx = hill_idx;
-        for i in hill_idx..n {
-            if atoms[i].resident <= atoms[valley_idx].resident {
+        for i in hill_idx..rest.len() {
+            if rest[i].resident <= rest[valley_idx].resident {
                 valley_idx = i;
             }
         }
-        let hill_abs = atoms[hill_idx].peak;
-        let valley_abs = atoms[valley_idx].resident;
-        // The first atom donates its task vector; the others drain into it
-        // (append moves elements and keeps the source's capacity for reuse).
-        let mut tasks = std::mem::take(&mut atoms[start].tasks);
-        for atom in &mut atoms[start + 1..=valley_idx] {
-            tasks.append(&mut atom.tasks);
-            task_pool.push(std::mem::take(&mut atom.tasks)); // lint: allow(L003, recycling an emptied vector into the pool: amortized)
-        }
+        let hill_abs = rest[hill_idx].peak;
+        let valley_abs = rest[valley_idx].resident;
         // Both values are at least the previous valley: the previous valley
         // was the minimum resident over a suffix containing this one.
         debug_assert!(hill_abs >= resident_before);
         debug_assert!(valley_abs >= resident_before);
+        let (segment, tail) = std::mem::take(&mut rest).split_at_mut(valley_idx + 1);
         // lint: allow(L003, segment output buffer is pooled by the caller: amortized)
         out.push(Segment {
             hill: hill_abs - resident_before,
             valley: valley_abs - resident_before,
-            tasks,
+            tasks: join(segment),
         });
         resident_before = valley_abs;
-        start = valley_idx + 1;
+        rest = tail;
     }
     atoms.clear();
     debug_assert!(is_canonical(out));
 }
 
+/// The [`decompose_into`] payload join of task-carrying segments: the first
+/// atom donates its task vector, the others drain into it (append moves
+/// elements) and go back to `task_pool` empty, so a caller cycling through
+/// many nodes reuses all task storage.
+// lint: no_alloc
+pub(crate) fn join_tasks(atoms: &mut [Atom], task_pool: &mut Vec<Vec<NodeId>>) -> Vec<NodeId> {
+    let mut tasks = std::mem::take(&mut atoms[0].tasks);
+    for atom in &mut atoms[1..] {
+        tasks.append(&mut atom.tasks);
+        task_pool.push(std::mem::take(&mut atom.tasks)); // lint: allow(L003, recycling an emptied vector into the pool: amortized)
+    }
+    tasks
+}
+
 /// `true` if the segment keys are non-increasing (the invariant required by
 /// the composition merge).
-pub fn is_canonical(segments: &[Segment]) -> bool {
+pub fn is_canonical<T>(segments: &[Segment<T>]) -> bool {
     segments.windows(2).all(|w| w[0].key() >= w[1].key())
 }
 
 /// Merges several canonical segment sequences into a single sequence ordered
 /// by non-increasing `hill − valley`, preserving the internal order of each
 /// input sequence (ties never reorder segments of the same child).
-pub fn merge(children: Vec<Vec<Segment>>) -> Vec<Segment> {
-    let mut bufs = children;
+pub fn merge<T>(children: Vec<Vec<Segment<T>>>) -> Vec<Segment<T>> {
+    let mut children = children;
     let mut out = Vec::new();
-    merge_into(&mut bufs, &mut out);
+    merge_with(&mut children, |seg| out.push(seg));
     out
 }
 
-/// Buffer-reusing variant of [`merge`]: drains every child sequence into
-/// `out` (cleared first), leaving each child vector empty but with its
-/// capacity intact so the caller can recycle it.
+/// The merge order of Liu's composition theorem, implemented once: hands
+/// every segment of `children` to `emit` in non-increasing key order. On
+/// ties the lowest child wins, so one child's segments never reorder.
 ///
 /// Each child is reversed once so its next segment pops from the back in
-/// O(1); segments are moved, never cloned.
+/// O(1); segments are moved, never cloned, and the children end up empty.
 // lint: no_alloc
-pub fn merge_into(children: &mut [Vec<Segment>], out: &mut Vec<Segment>) {
-    out.clear();
+fn merge_with<T>(children: &mut [Vec<Segment<T>>], mut emit: impl FnMut(Segment<T>)) {
     for child in children.iter_mut() {
         child.reverse();
     }
@@ -165,9 +178,55 @@ pub fn merge_into(children: &mut [Vec<Segment>], out: &mut Vec<Segment>) {
         }
         let Some((i, _)) = best else { break };
         if let Some(seg) = children[i].pop() {
-            out.push(seg); // lint: allow(L003, merge output buffer is pooled by the caller: amortized)
+            emit(seg);
         }
     }
+}
+
+/// Liu's composition at one node (his composition theorem, restated as
+/// Theorem 3 of the paper): merges the children's canonical sequences
+/// (drained) in non-increasing `hill − valley` order, executes the node
+/// last, and cuts the resulting absolute profile canonically into `out`.
+///
+/// `weight` and `children_weight` are the node's `w_i` and `Σ w_j`; `tasks`
+/// is the node's own payload and `join` the payload join handed to
+/// [`decompose_into`]. `atoms` is a staging buffer (cleared first).
+// lint: no_alloc
+pub fn compose_into<T>(
+    children: &mut [Vec<Segment<T>>],
+    weight: u64,
+    children_weight: u64,
+    tasks: T,
+    atoms: &mut Vec<Atom<T>>,
+    out: &mut Vec<Segment<T>>,
+    join: impl FnMut(&mut [Atom<T>]) -> T,
+) {
+    atoms.clear();
+    let mut base = 0u64;
+    merge_with(children, |seg| {
+        let peak = base + seg.hill;
+        base += seg.valley;
+        // lint: allow(L003, staging area reuses its capacity across nodes: amortized)
+        atoms.push(Atom {
+            peak,
+            resident: base,
+            tasks: seg.tasks,
+        });
+    });
+    debug_assert_eq!(
+        base, children_weight,
+        "children valleys must sum to their weights"
+    );
+    // Executing the node: all children outputs (and nothing else from this
+    // subtree) are resident, so the absolute peak is exactly w̄ and the
+    // resident data afterwards is the node's own output.
+    // lint: allow(L003, staging area reuses its capacity across nodes: amortized)
+    atoms.push(Atom {
+        peak: weight.max(children_weight),
+        resident: weight,
+        tasks,
+    });
+    decompose_into(atoms, out, join);
 }
 
 #[cfg(test)]
@@ -278,5 +337,50 @@ mod tests {
         ];
         let merged = merge(vec![a.clone()]);
         assert_eq!(merged, a);
+    }
+
+    #[test]
+    fn composition_ignores_the_payload() {
+        // Two children with (hill, valley) sequences [(9, 2), (4, 3)] and
+        // [(8, 1)], under a node of weight 3: the payload-free composition
+        // cuts exactly where the task-carrying one does.
+        let hv = |hill, valley, id| Segment {
+            hill,
+            valley,
+            tasks: vec![NodeId(id)],
+        };
+        let mut with_tasks = vec![vec![hv(9, 2, 0), hv(4, 3, 1)], vec![hv(8, 1, 2)]];
+        let mut bare: Vec<Vec<Segment<()>>> = with_tasks
+            .iter()
+            .map(|c| {
+                c.iter()
+                    .map(|s| Segment {
+                        hill: s.hill,
+                        valley: s.valley,
+                        tasks: (),
+                    })
+                    .collect()
+            })
+            .collect();
+        let (mut atoms, mut out, mut pool) = (Vec::new(), Vec::new(), Vec::new());
+        compose_into(
+            &mut with_tasks,
+            3,
+            6,
+            vec![NodeId(3)],
+            &mut atoms,
+            &mut out,
+            |s| join_tasks(s, &mut pool),
+        );
+        let (mut bare_atoms, mut bare_out) = (Vec::new(), Vec::new());
+        compose_into(&mut bare, 3, 6, (), &mut bare_atoms, &mut bare_out, |_| ());
+        let profile: Vec<(u64, u64)> = out.iter().map(|s| (s.hill, s.valley)).collect();
+        let bare_profile: Vec<(u64, u64)> = bare_out.iter().map(|s| (s.hill, s.valley)).collect();
+        assert_eq!(profile, bare_profile);
+        // Keys 7, 7, 1: child 0's first segment wins the tie, and the node
+        // runs last.
+        let order: Vec<NodeId> = out.iter().flat_map(|s| s.tasks.clone()).collect();
+        assert_eq!(order, vec![NodeId(0), NodeId(2), NodeId(1), NodeId(3)]);
+        assert_eq!(profile[0].0, 10, "the optimal peak is the first hill");
     }
 }

@@ -56,6 +56,9 @@ pub enum TreeError {
         /// Available memory `M`.
         available: u64,
     },
+    /// Summing weights overflows `u64`: either the children weights of this
+    /// node, or the total weight of all nodes up to this one.
+    WeightOverflow(NodeId),
     /// A solve report is inconsistent with the instance it reports on
     /// (a reported quantity does not match its recomputation).
     ReportMismatch {
@@ -105,6 +108,9 @@ impl fmt::Display for TreeError {
                 f,
                 "traversal uses {used} memory units at node {node:?} but only {available} are available"
             ),
+            TreeError::WeightOverflow(n) => {
+                write!(f, "weights summed at node {n:?} overflow u64")
+            }
             TreeError::ReportMismatch {
                 field,
                 reported,

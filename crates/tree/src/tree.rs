@@ -28,12 +28,18 @@
 //! Because the postorder visits every subtree contiguously (ending at its
 //! root), [`Tree::subtree_postorder`] is a **slice** of the precomputed
 //! order: traversals allocate nothing. Structural mutation is confined to
-//! [`Tree::splice_above`] (the node-expansion primitive), which patches the
-//! CSR arena in place — the new node's single-child list is appended at the
-//! tail, the parent's child slot is overwritten — and then rebuilds the
-//! derived arrays in O(n); callers (the `RecExpand` expansion loop) run an
-//! O(n log n) scheduling pass after every splice, so the rebuild is
-//! asymptotically free.
+//! [`Tree::splice_above`] (the node-expansion primitive), which patches
+//! every array in place instead of rebuilding them:
+//!
+//! * CSR: the new node's single-child list is appended at the tail and the
+//!   parent's child slot is overwritten;
+//! * the new node enters the postorder right after the node it sits above,
+//!   and the later positions shift by one;
+//! * the ancestors' subtree sizes and the depths inside the spliced subtree
+//!   grow by one;
+//! * two children-weight entries change: the new node's and its parent's.
+//!
+//! The patched tree is `==` to rebuilding its derived arrays from scratch.
 
 use serde::{Deserialize, Serialize};
 
@@ -111,7 +117,10 @@ impl Tree {
     ///
     /// `parents[i]` is the parent of node `i` (or `None` for the root);
     /// `weights[i]` is the size of node `i`'s output datum. Exactly one node
-    /// must have no parent.
+    /// must have no parent, and the weights must be summable: a node whose
+    /// children weights, or a prefix of `weights` whose total, overflows
+    /// `u64` is rejected with [`TreeError::WeightOverflow`] naming the
+    /// lowest such node (children sums are checked first).
     pub fn from_parents(weights: &[u64], parents: &[Option<usize>]) -> Result<Self, TreeError> {
         if weights.is_empty() {
             return Err(TreeError::Empty);
@@ -197,20 +206,31 @@ impl Tree {
     /// Rebuilds every derived array (children weights, postorder, positions,
     /// subtree sizes, depths) from the structural arrays in O(n).
     ///
-    /// Doubles as the acyclicity check: a parent structure with a cycle
-    /// leaves the cycle's nodes unreachable from the root, so the DFS
-    /// postorder comes up short and the lowest-index unreached node is
-    /// reported — the same node the old walk-to-root check blamed.
+    /// Doubles as the weight-overflow check (every children sum and the
+    /// running total Σw use `checked_add`) and as the acyclicity check: a
+    /// parent structure with a cycle leaves the cycle's nodes unreachable
+    /// from the root, so the DFS postorder comes up short and the
+    /// lowest-index unreached node is reported — the same node the old
+    /// walk-to-root check blamed.
     fn recompute_derived(&mut self) -> Result<(), TreeError> {
         let n = self.len();
         self.children_weight.clear();
         self.children_weight.resize(n, 0);
         for i in 0..n {
-            self.children_weight[i] = self
-                .children(NodeId::from_index(i))
-                .iter()
-                .map(|&c| self.weights[c.index()])
-                .sum();
+            let node = NodeId::from_index(i);
+            let mut sum = 0u64;
+            for &c in self.children(node) {
+                sum = sum
+                    .checked_add(self.weights[c.index()])
+                    .ok_or(TreeError::WeightOverflow(node))?;
+            }
+            self.children_weight[i] = sum;
+        }
+        let mut total = 0u64;
+        for (i, &w) in self.weights.iter().enumerate() {
+            total = total
+                .checked_add(w)
+                .ok_or(TreeError::WeightOverflow(NodeId::from_index(i)))?;
         }
 
         // Iterative DFS postorder from the root, children in stored order.
@@ -473,15 +493,20 @@ impl Tree {
     /// only child. Returns the new node's id.
     ///
     /// This is the structural primitive behind node expansion
-    /// (see [`crate::expand`]). The CSR arena is patched in place (the new
-    /// node's single-child list goes at the tail; the parent's child slot is
-    /// overwritten) and the derived traversal arrays are rebuilt in O(n).
+    /// (see [`crate::expand`]). Every array is patched in place (see the
+    /// module docs): O(n − p) to shift the postorder positions after
+    /// `node`'s position `p`, plus O(subtree size + depth) of `node`.
+    ///
+    /// # Panics
+    /// Panics if the parent's children weight overflows `u64`, which needs
+    /// `weight` to exceed `node`'s weight (node expansion never does that).
     pub fn splice_above(&mut self, node: NodeId, weight: u64) -> NodeId {
         let new = NodeId::from_index(self.len());
-        let old_parent = self.parent[node.index()];
+        let i = node.index();
+        let old_parent = self.parent[i];
         self.weights.push(weight);
         self.parent.push(old_parent);
-        self.parent[node.index()] = new.0;
+        self.parent[i] = new.0;
         // The new node's child list is [node], appended at the arena tail.
         self.children_flat.push(node);
         self.child_start.push(
@@ -489,9 +514,11 @@ impl Tree {
                 // lint: allow(L001, children_flat holds at most one entry per u32-indexed node)
                 .expect("child arena exceeds u32 offsets"),
         );
+        self.children_weight.push(self.weights[i]);
         if old_parent == NO_PARENT {
             self.root = new;
         } else {
+            let p = old_parent as usize;
             let range = self.child_range(NodeId(old_parent));
             let slot = self.children_flat[range.clone()]
                 .iter()
@@ -499,10 +526,40 @@ impl Tree {
                 // lint: allow(L001, parent/child links are a Tree construction invariant)
                 .expect("parent/child links out of sync");
             self.children_flat[range.start + slot] = new;
+            self.children_weight[p] = (self.children_weight[p] - self.weights[i])
+                .checked_add(weight)
+                // lint: allow(L001, documented panic: only a heavier replacement can overflow)
+                .expect("children weight overflows u64");
         }
-        self.recompute_derived()
-            // lint: allow(L001, splicing one node into an acyclic tree cannot create a cycle)
-            .expect("splice_above preserves acyclicity");
+
+        // `node`'s subtree is contiguous and ends at `node`; the new node
+        // closes the enlarged subtree right after it.
+        let new_pos = self.postorder_pos[i] + 1;
+        let end = new_pos as usize;
+        let start = end - self.subtree_size[i] as usize;
+        self.postorder.insert(end, new);
+        for &later in &self.postorder[end + 1..] {
+            self.postorder_pos[later.index()] += 1;
+        }
+        self.postorder_pos.push(new_pos);
+
+        // Every ancestor gains one node; the new node's subtree is `node`'s
+        // plus itself.
+        self.subtree_size.push(self.subtree_size[i] + 1);
+        let mut ancestor = old_parent;
+        while ancestor != NO_PARENT {
+            self.subtree_size[ancestor as usize] += 1;
+            ancestor = self.parent[ancestor as usize];
+        }
+
+        // The new node takes `node`'s depth; `node`'s subtree moves one
+        // level down.
+        self.depth.push(self.depth[i]);
+        for &v in &self.postorder[start..end] {
+            let d = self.depth[v.index()] + 1;
+            self.depth[v.index()] = d;
+            self.height = self.height.max(d);
+        }
         new
     }
 
@@ -821,7 +878,7 @@ mod tests {
         assert!(!t.children(NodeId(0)).contains(&a));
         // The new node keeps a's old slot, so sibling order is preserved.
         assert_eq!(t.children(NodeId(0)), &[new, NodeId(3)]);
-        // Derived arrays were rebuilt: the subtree below `new` grew by one.
+        // Derived arrays were patched: the subtree below `new` grew by one.
         assert_eq!(t.subtree_size(new), 3);
         assert_eq!(t.depth(NodeId(2)), 3);
         assert_eq!(t.height(), 3);
@@ -837,6 +894,73 @@ mod tests {
         assert_eq!(t.root(), new);
         assert_eq!(t.parent(old_root), Some(new));
         assert_eq!(t.postorder().last(), Some(&new));
+    }
+
+    /// Splices above random nodes — the root, nodes inserted just before,
+    /// anything — and checks after every splice that the in-place patch
+    /// equals a from-scratch rebuild of the derived arrays.
+    #[test]
+    fn random_splices_match_a_full_rebuild() {
+        let mut state = 0x5eed_u64;
+        let mut next = |bound: usize| {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        for round in 0..40 {
+            let n = 1 + next(30);
+            let weights: Vec<u64> = (0..n).map(|_| 1 + next(9) as u64).collect();
+            let parents: Vec<Option<usize>> = (0..n)
+                .map(|i| if i == 0 { None } else { Some(next(i)) })
+                .collect();
+            let mut t = Tree::from_parents(&weights, &parents).unwrap();
+            let mut last = t.root();
+            for _ in 0..25 {
+                let target = match next(3) {
+                    0 => t.root(),
+                    1 => last,
+                    _ => NodeId::from_index(next(t.len())),
+                };
+                let weight = t.weight(target) - next(t.weight(target) as usize + 1) as u64;
+                last = t.splice_above(target, weight);
+                let mut rebuilt = t.clone();
+                rebuilt.recompute_derived().unwrap();
+                assert_eq!(t, rebuilt, "round {round}: splice above {target:?}");
+                t.validate().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn overflowing_children_weights_are_rejected() {
+        // A root with two children of weight 2^63: their sum is 2^64.
+        let big = 1u64 << 63;
+        assert_eq!(
+            Tree::from_parents(&[1, big, big], &[None, Some(0), Some(0)]),
+            Err(TreeError::WeightOverflow(NodeId(0)))
+        );
+        let mut b = TreeBuilder::new();
+        let r = b.add_root(1);
+        let a = b.add_child(r, 5);
+        b.add_child(a, u64::MAX);
+        b.add_child(a, 1);
+        assert_eq!(b.build(), Err(TreeError::WeightOverflow(a)));
+    }
+
+    #[test]
+    fn overflowing_total_weight_is_rejected() {
+        // Every children sum fits, but Σw reaches 2^64 at node 1.
+        let big = 1u64 << 63;
+        assert_eq!(
+            Tree::from_parents(&[big, big, 1], &[None, Some(0), Some(1)]),
+            Err(TreeError::WeightOverflow(NodeId(1)))
+        );
+        // The largest summable tree still builds.
+        let t = Tree::from_parents(&[big, big - 1], &[None, Some(0)]).unwrap();
+        assert_eq!(t.total_weight(), u64::MAX);
     }
 
     #[test]

@@ -10,14 +10,20 @@
 //! The instance is a TREES-style complete binary tree of 2^20 − 1 nodes
 //! with depth-dependent weights (heavier towards the leaves, as in the
 //! paper's elimination-tree datasets, where the large fronts sit deep).
+//! The RecExpand test adds a 100,000-node chain, the extreme of the deep
+//! elimination trees that Reverse Cuthill–McKee orderings produce.
 
 use std::time::Instant;
 
+use oocts::core::recexpand::rec_expand_with_limit;
 use oocts::minmem::{opt_min_mem_peak, post_order_min_mem};
 use oocts::prelude::*;
 
 /// 2^20 − 1 = 1 048 575 nodes.
 const HEIGHT: usize = 19;
+
+/// Length of the deep chain.
+const CHAIN: usize = 100_000;
 
 fn million_node_tree() -> Tree {
     let mut tree = oocts::gen::random::complete_kary(2, HEIGHT, 1);
@@ -28,6 +34,39 @@ fn million_node_tree() -> Tree {
         tree.set_weight(node, w);
     }
     tree
+}
+
+/// A chain of `CHAIN` nodes with weights cycling through 1..=7, so the
+/// hill–valley sequences are not trivial.
+fn long_chain() -> Tree {
+    let weights: Vec<u64> = (0..CHAIN).map(|i| 1 + (i as u64 * 5) % 7).collect();
+    let parents: Vec<Option<usize>> = (0..CHAIN).map(|i| i.checked_sub(1)).collect();
+    Tree::from_parents(&weights, &parents).unwrap()
+}
+
+/// At `M = Peak_incore` every subtree fits, so RecExpand and FullRecExpand
+/// expand nothing and return OptMinMem's schedule. Re-solving every inner
+/// node's subtree would cost Σ subtree sizes ≈ 5·10^9 node visits on the
+/// chain; the peak cache makes it one Liu pass plus the final solve.
+#[test]
+#[ignore = "million-node stress: run explicitly in release (CI does)"]
+fn rec_expand_at_the_incore_peak_expands_nothing() {
+    for (name, tree) in [("chain", long_chain()), ("binary", million_node_tree())] {
+        let (s_opt, peak) = opt_min_mem(&tree);
+        for (variant, limit) in [("RecExpand", Some(2)), ("FullRecExpand", None)] {
+            let t = Instant::now();
+            let out = rec_expand_with_limit(&tree, peak, limit).unwrap();
+            println!(
+                "{variant} on the {name} ({} nodes) at M = {peak}: {:.3}s",
+                tree.len(),
+                t.elapsed().as_secs_f64()
+            );
+            assert_eq!(out.expansions, 0, "{variant} expanded at M = Peak_incore");
+            assert_eq!(out.forced_io, 0);
+            assert!(!out.hit_iteration_cap);
+            assert_eq!(out.schedule.order(), s_opt.order());
+        }
+    }
 }
 
 #[test]
