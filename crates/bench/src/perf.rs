@@ -794,4 +794,42 @@ mod tests {
             .iter()
             .all(|r| r.peak_memory >= 1 && r.instance.starts_with("corpus-")));
     }
+
+    #[test]
+    fn generators_reproduce_the_committed_corpus() {
+        use oocts_gen::corpus::{format_golden, format_instance};
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
+        let read = |name: &str| {
+            let path = dir.join(name);
+            std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+        };
+        // The seed `bench --emit-corpus` uses by default.
+        let instances = corpus_instances(BenchConfig::default().seed);
+        let mut committed: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|entry| entry.unwrap().file_name().into_string().ok())
+            .filter(|name| name.ends_with(".tree"))
+            .collect();
+        committed.sort();
+        let mut emitted: Vec<String> = instances
+            .iter()
+            .map(|i| format!("{}.tree", i.name))
+            .collect();
+        emitted.sort();
+        assert_eq!(emitted, committed);
+        for inst in &instances {
+            let text = format_instance(&inst.name, &inst.tree).unwrap();
+            assert!(
+                text == read(&format!("{}.tree", inst.name)),
+                "{} differs",
+                inst.name
+            );
+        }
+        let golden = corpus_golden(&instances).expect("corpus instances are feasible");
+        assert!(
+            format_golden(&golden) == read("golden.tsv"),
+            "golden.tsv differs"
+        );
+    }
 }

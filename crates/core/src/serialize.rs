@@ -141,4 +141,16 @@ mod tests {
             assert_eq!(parsed.as_str(), Some(name));
         }
     }
+
+    #[test]
+    fn deep_nesting_is_a_located_error_not_a_stack_overflow() {
+        use serde::value::MAX_DEPTH;
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&deepest).is_ok());
+        // The first bracket past the limit is the offending offset.
+        let err = Value::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        let err = Value::parse(&r#"{"k":"#.repeat(200_000)).unwrap_err();
+        assert_eq!(err.offset, 5 * MAX_DEPTH);
+    }
 }

@@ -167,8 +167,11 @@ pub fn parse_instance(text: &str) -> Result<Instance, CorpusError> {
             message: "expected `nodes <count>`".to_string(),
         })?;
 
-    let mut weights = Vec::with_capacity(n);
-    let mut parents = Vec::with_capacity(n);
+    // The header is not trusted with the allocation: every node needs a
+    // line of its own, so no more than the remaining lines are reserved.
+    let room = n.min(text.lines().count().saturating_sub(3));
+    let mut weights = Vec::with_capacity(room);
+    let mut parents = Vec::with_capacity(room);
     for _ in 0..n {
         let (line, node_line) = expect("a `<parent|-> <weight>` node line")?;
         let bad = |message: &str| CorpusError::Parse {
@@ -320,6 +323,19 @@ mod tests {
         let parsed = parse_instance(&text).unwrap();
         assert_eq!(parsed.tree, tree);
         assert_eq!(format_instance("synth", &parsed.tree).unwrap(), text);
+    }
+
+    #[test]
+    fn oversized_node_count_is_a_located_error() {
+        // The input cannot hold the promised nodes: the result is the error
+        // for the first missing node line, not an allocation of that size.
+        let huge = "oocts-corpus v1\nname big\nnodes 3000000000\n- 1\n";
+        match parse_instance(huge) {
+            Err(CorpusError::Parse { line: 5, message }) => {
+                assert!(message.contains("missing"), "{message}");
+            }
+            other => panic!("expected a parse error at line 5, got {other:?}"),
+        }
     }
 
     #[test]

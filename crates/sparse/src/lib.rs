@@ -11,8 +11,9 @@
 //!    matrix graph);
 //! 2. [`generators`] — 2-D/3-D grid Laplacians and random sparse symmetric
 //!    patterns, the standard model problems of sparse direct solvers;
-//! 3. [`ordering`] — fill-reducing orderings: reverse Cuthill–McKee, a
-//!    minimum-degree heuristic, and nested dissection for grids;
+//! 3. [`ordering`] — fill-reducing orderings: reverse Cuthill–McKee, exact
+//!    minimum degree (run on a quotient graph, in O(nnz(A) + n) memory), and
+//!    nested dissection for grids;
 //! 4. [`etree`] — the elimination tree of a (permuted) pattern, via Liu's
 //!    algorithm;
 //! 5. [`symbolic`] — symbolic factorization: the column counts of the
