@@ -19,8 +19,7 @@
 //! accounting); strategies are addressed by name — including parameterized
 //! specs such as `"RecExpand(max_rounds=5)"` — through
 //! [`registry::SchedulerRegistry`], which also accepts user-defined
-//! implementations. The pre-0.2 closed [`algorithms::Algorithm`] enum
-//! remains as a deprecated shim over the trait adapters.
+//! implementations.
 //!
 //! Provided algorithms:
 //!
@@ -46,7 +45,6 @@
 #![warn(clippy::disallowed_methods)]
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 
-pub mod algorithms;
 #[cfg(feature = "brute-force")]
 pub mod bruteforce;
 pub mod homogeneous;
@@ -57,8 +55,6 @@ pub mod scheduler;
 pub mod serialize;
 pub mod theorem2;
 
-#[allow(deprecated)]
-pub use algorithms::{Algorithm, AlgorithmResult};
 #[cfg(feature = "brute-force")]
 pub use bruteforce::brute_force_min_io;
 pub use postorder::{post_order_min_io, PostorderIoAnalysis};

@@ -13,20 +13,21 @@
 //! `RecExpand` is the cheaper variant that performs at most two expansion
 //! iterations per node (the paper exits the `while` loop after 2 iterations).
 //!
-//! The peak test reads a [`PeakCache`]: Liu's canonical hill–valley
-//! sequences of every subtree, updated at each node of the bottom-up walk
-//! and, after an expansion, only along the new chain and its ancestors up to
-//! `r` — every other subtree is unchanged. So the test costs one Liu pass
-//! over the whole walk instead of one per inner node, and the task-carrying
-//! OptMinMem solve of `r`'s subtree runs only when an expansion will follow:
-//! once per expansion.
+//! Both OptMinMem kernels read one [`PeakCache`]: Liu's canonical hill–valley
+//! sequences of every subtree, with each segment's tasks linked in place. It
+//! is updated at each node of the bottom-up walk and, after an expansion,
+//! only along the new chain and its ancestors up to `r` — every other
+//! subtree is unchanged, and so are its cached sequences and task lists. The
+//! peak test reads `r`'s first hill, and the traversal FiF replays before an
+//! expansion is `r`'s lists read out: nothing is re-solved. The whole walk
+//! costs one Liu pass plus the recompositions along the expanded paths.
 //!
-//! The returned schedule is obtained by running OptMinMem on the final
-//! expanded tree and mapping it back to the original tree; its I/O volume is
-//! measured — like for every other algorithm — by the FiF simulator on the
-//! original tree.
+//! The returned schedule is OptMinMem's on the final expanded tree — the
+//! root's lists, read out of the same cache — mapped back to the original
+//! tree; its I/O volume is measured — like for every other algorithm — by
+//! the FiF simulator on the original tree.
 
-use oocts_minmem::{opt_min_mem_subtree_with, PeakCache, ScratchSpace};
+use oocts_minmem::PeakCache;
 use oocts_tree::{fif_io_with, ExpandedTree, FifScratch, NodeId, Schedule, Tree, TreeError};
 
 /// Outcome of a `RecExpand`/`FullRecExpand` run.
@@ -84,13 +85,17 @@ pub fn rec_expand_with_limit(
     let mut expanded = ExpandedTree::new(tree);
     let cap = EXPANSION_CAP_FACTOR * tree.len().max(16);
     let mut hit_cap = false;
+    // Set once no further expansion may happen (the cap, or the unreachable
+    // case of a peak above M without FiF I/O): the walk then only keeps the
+    // cache current, so the root's traversal can be read at the end.
+    let mut stopped = false;
 
     // Scratch state held across the whole expansion loop: every expansion
-    // solves OptMinMem and replays FiF once, so buffer reuse here dominates
+    // reads a traversal and replays FiF once, so buffer reuse here dominates
     // the heuristic's constant factor.
     let mut peaks = PeakCache::new();
-    let mut liu_scratch = ScratchSpace::new();
     let mut fif_scratch = FifScratch::new();
+    let mut order: Vec<NodeId> = Vec::new();
     let mut positions: Vec<usize> = Vec::new();
 
     // Bottom-up over the *original* tree. When node `r` is processed, the
@@ -98,10 +103,10 @@ pub fn rec_expand_with_limit(
     // executed without I/O (and their cached sequences are current);
     // expansions triggered at `r` may touch any node of the current subtree
     // (including nodes inserted by earlier expansions).
-    'outer: for &r in tree.postorder() {
+    for &r in tree.postorder() {
         let mut peak = peaks.update(expanded.tree(), r);
         // Skip leaves: a single node always fits (checked above).
-        if tree.is_leaf(r) {
+        if stopped || tree.is_leaf(r) {
             continue;
         }
         let mut iterations = 0usize;
@@ -113,21 +118,24 @@ pub fn rec_expand_with_limit(
             }
             if expanded.expansions() >= cap {
                 hit_cap = true;
-                break 'outer;
+                stopped = true;
+                break;
             }
             iterations += 1;
 
             // FiF I/O function of the OptMinMem traversal of this subtree.
-            let (schedule, solved) = opt_min_mem_subtree_with(expanded.tree(), r, &mut liu_scratch);
-            debug_assert_eq!(solved, peak, "cached and solved subtree peaks differ");
+            peaks.schedule_into(expanded.tree(), r, &mut order);
+            let schedule = Schedule::new(std::mem::take(&mut order));
             let io = fif_io_with(expanded.tree(), &schedule, memory, &mut fif_scratch)?;
             // Node with positive I/O whose parent is scheduled the latest.
             schedule.positions_into(expanded.tree(), &mut positions);
+            order = schedule.into_order();
             let Some(victim) = pick_victim(expanded.tree(), r, &io.tau, &positions) else {
                 // Unreachable: peak exceeds M, so the FiF policy must have
                 // performed some I/O; stop expanding rather than panic.
                 debug_assert!(false, "peak exceeds M but FiF reported no I/O");
-                break 'outer;
+                stopped = true;
+                break;
             };
             let amount = io.tau[victim.index()];
             fif_scratch.recycle(io.tau);
@@ -147,9 +155,9 @@ pub fn rec_expand_with_limit(
     }
 
     // Final schedule: OptMinMem on the fully expanded tree, mapped back.
-    let (schedule_exp, _) =
-        opt_min_mem_subtree_with(expanded.tree(), expanded.tree().root(), &mut liu_scratch);
-    let schedule = expanded.to_original_schedule(&schedule_exp);
+    let root = expanded.tree().root();
+    peaks.schedule_into(expanded.tree(), root, &mut order);
+    let schedule = expanded.to_original_schedule(&Schedule::new(order));
     debug_assert!(schedule.validate(tree).is_ok());
     Ok(RecExpandOutcome {
         schedule,

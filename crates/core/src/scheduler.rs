@@ -8,12 +8,12 @@
 //! fairest possible accounting; the provided [`Scheduler::solve`] method
 //! performs that simulation and packages the outcome as a [`SolveReport`].
 //!
-//! The five strategies of the closed pre-0.2 `Algorithm` enum are available
-//! as zero-cost adapter types ([`PostOrderMinIo`], [`OptMinMem`],
-//! [`RecExpand`], [`FullRecExpand`], [`PostOrderMinMem`]), plus a seeded
-//! tie-breaking baseline ([`RandomPostOrder`]) demonstrating parameterized
-//! schedulers. Name-based lookup and registration of custom strategies live
-//! in [`crate::registry`].
+//! The five built-in strategies are zero-cost adapter types
+//! ([`PostOrderMinIo`], [`OptMinMem`], [`RecExpand`], [`FullRecExpand`],
+//! [`PostOrderMinMem`]), plus a seeded tie-breaking baseline
+//! ([`RandomPostOrder`]) demonstrating parameterized schedulers. Name-based
+//! lookup and registration of custom strategies live in
+//! [`crate::registry`].
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -348,8 +348,8 @@ pub fn trees_schedulers() -> Vec<Arc<dyn Scheduler>> {
     ]
 }
 
-/// Every built-in strategy, in the column order of the pre-0.2 `Algorithm`
-/// enum (plus the seeded baseline last).
+/// Every built-in strategy, in a fixed column order (the seeded baseline
+/// last).
 pub fn builtin_schedulers() -> Vec<Arc<dyn Scheduler>> {
     vec![
         Arc::new(PostOrderMinIo),
@@ -364,7 +364,7 @@ pub fn builtin_schedulers() -> Vec<Arc<dyn Scheduler>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oocts_tree::TreeBuilder;
+    use oocts_tree::{NodeId, TreeBuilder};
 
     fn fig6_tree() -> Tree {
         let mut b = TreeBuilder::new();
@@ -411,6 +411,23 @@ mod tests {
         // Non-expanding strategies report empty stats.
         let po = PostOrderMinIo.solve(&t, 10).unwrap();
         assert_eq!(po.expansion, ExpansionStats::default());
+    }
+
+    /// A report crossing a trust boundary may name nodes the tree does not
+    /// have: validating it is an error, not an out-of-bounds panic.
+    #[test]
+    fn report_naming_an_unknown_node_fails_validation() {
+        let mut b = TreeBuilder::new();
+        let root = b.add_root(1);
+        b.add_child(root, 2);
+        b.add_child(root, 3);
+        let t = b.build().unwrap();
+        let mut report = OptMinMem.solve(&t, 5).unwrap();
+        report.validate(&t).unwrap();
+        let mut order = report.schedule.into_order();
+        order[0] = NodeId(7);
+        report.schedule = Schedule::new(order);
+        assert_eq!(report.validate(&t), Err(TreeError::UnknownNode(NodeId(7))));
     }
 
     #[test]

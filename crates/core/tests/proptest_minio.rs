@@ -10,11 +10,16 @@ use oocts_core::scheduler::{
     builtin_schedulers, FullRecExpand, OptMinMem, PostOrderMinIo, RecExpand, Scheduler,
 };
 use oocts_core::theorem2::schedule_for_io_function;
-use oocts_minmem::{
-    opt_min_mem, opt_min_mem_subtree, opt_min_mem_subtree_with, PeakCache, ScratchSpace,
+use oocts_minmem::{opt_min_mem, PeakCache};
+use oocts_tree::{
+    check_traversal, fif_io, fif_io_with, ExpandedTree, FifScratch, NodeId, Schedule, Tree,
 };
-use oocts_tree::{check_traversal, fif_io, fif_io_with, ExpandedTree, FifScratch, NodeId, Tree};
 use proptest::prelude::*;
+
+/// The task-list OptMinMem the hill–valley cache replaced, shared with the
+/// differential tests of `oocts-minmem`.
+#[path = "../../minmem/tests/reference/mod.rs"]
+mod reference;
 
 /// Random trees with `n ∈ [1, max_nodes]` nodes and weights in `[1, max_weight]`.
 fn random_tree(max_nodes: usize, max_weight: u64) -> impl Strategy<Value = Tree> {
@@ -80,22 +85,30 @@ fn paper_bounds(tree: &Tree) -> [u64; 3] {
     [lb, ((lb + below_peak) / 2).max(lb), below_peak.max(lb)]
 }
 
-/// Reference RecExpand: Algorithm 2 as written, re-solving OptMinMem on the
-/// whole subtree of `r` before every peak test and scanning every node for
-/// the victim. The production loop must match it exactly.
+/// Reference RecExpand: Algorithm 2 as written, re-solving OptMinMem from
+/// scratch (with the reference composition, not the cache) on the whole
+/// subtree of `r` before every peak test, scanning every node for the
+/// victim, and solving the final expanded tree from scratch too. The
+/// production loop must match it exactly.
 ///
 /// Alongside, it maintains a [`PeakCache`] the way the production loop
 /// does (each node of the walk, then the new chain and its ancestors up to
 /// `r` after an expansion) and checks, after every expansion, that the
-/// cached peak of every node reached so far equals a fresh solve — and at
-/// the end, that every node's does.
+/// cached peak and traversal of every node reached so far equal a fresh
+/// solve — and at the end, that every node's do.
 fn reference_rec_expand(tree: &Tree, memory: u64, limit: Option<usize>) -> RecExpandOutcome {
     let mut expanded = ExpandedTree::new(tree);
     let cap = 64 * tree.len().max(16);
     let mut hit_cap = false;
     let mut peaks = PeakCache::new();
-    let mut liu = ScratchSpace::new();
     let mut fif = FifScratch::new();
+    let mut order = Vec::new();
+    let mut check = |peaks: &PeakCache, tree: &Tree, v: NodeId, when: &str| {
+        let (schedule, peak) = reference::opt_min_mem_subtree(tree, v);
+        assert_eq!(peaks.peak(v), peak, "{when} cached peak of {v:?}");
+        peaks.schedule_into(tree, v, &mut order);
+        assert_eq!(order, schedule, "{when} cached traversal of {v:?}");
+    };
     'outer: for &r in tree.postorder() {
         peaks.update(expanded.tree(), r);
         if tree.is_leaf(r) {
@@ -103,8 +116,9 @@ fn reference_rec_expand(tree: &Tree, memory: u64, limit: Option<usize>) -> RecEx
         }
         let mut iterations = 0usize;
         loop {
-            let (schedule, peak) = opt_min_mem_subtree_with(expanded.tree(), r, &mut liu);
-            assert_eq!(peaks.peak(r), peak, "cached peak of {r:?}");
+            let (schedule, peak) = reference::opt_min_mem_subtree(expanded.tree(), r);
+            let schedule = Schedule::new(schedule);
+            check(&peaks, expanded.tree(), r, "current");
             if peak <= memory || limit.is_some_and(|l| iterations >= l) {
                 break;
             }
@@ -145,25 +159,19 @@ fn reference_rec_expand(tree: &Tree, memory: u64, limit: Option<usize>) -> RecEx
                 v.index() >= tree.len() || tree.postorder_position(v) <= tree.postorder_position(r)
             };
             for v in expanded.tree().node_ids().filter(|&v| reached(v)) {
-                let solved = opt_min_mem_subtree(expanded.tree(), v).1;
-                assert_eq!(
-                    peaks.peak(v),
-                    solved,
-                    "cached peak of {v:?} after an expansion"
-                );
+                check(&peaks, expanded.tree(), v, "after an expansion,");
             }
         }
     }
     if !hit_cap {
         for v in expanded.tree().node_ids() {
-            let solved = opt_min_mem_subtree(expanded.tree(), v).1;
-            assert_eq!(peaks.peak(v), solved, "final cached peak of {v:?}");
+            check(&peaks, expanded.tree(), v, "final");
         }
     }
     let root = expanded.tree().root();
-    let (schedule, _) = opt_min_mem_subtree_with(expanded.tree(), root, &mut liu);
+    let (schedule, _) = reference::opt_min_mem_subtree(expanded.tree(), root);
     RecExpandOutcome {
-        schedule: expanded.to_original_schedule(&schedule),
+        schedule: expanded.to_original_schedule(&Schedule::new(schedule)),
         forced_io: expanded.total_forced_io(),
         expansions: expanded.expansions(),
         hit_iteration_cap: hit_cap,

@@ -30,9 +30,6 @@ pub mod segments;
 
 #[cfg(feature = "brute-force")]
 pub use bruteforce::brute_force_min_peak;
-pub use liu::{
-    opt_min_mem, opt_min_mem_peak, opt_min_mem_subtree, opt_min_mem_subtree_with, PeakCache,
-    ScratchSpace,
-};
+pub use liu::{opt_min_mem, opt_min_mem_peak, opt_min_mem_subtree, PeakCache};
 pub use postorder::{post_order_min_mem, post_order_min_mem_subtree};
 pub use segments::Segment;

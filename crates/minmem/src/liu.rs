@@ -5,48 +5,24 @@
 //! [`crate::segments`]); at an inner node the children's segment sequences
 //! are merged in non-increasing `hill − valley` order (Liu's composition
 //! theorem, restated as Theorem 3 in the paper), the node itself is executed
-//! last, and the combined profile is re-decomposed.
+//! last, and the combined profile is cut canonically again.
 //!
-//! [`PeakCache`] keeps the same per-node sequences without their task lists,
-//! so a caller that changes a tree locally can re-derive the optimal peak of
-//! every affected subtree from the unaffected children's sequences.
+//! [`PeakCache`] is the one implementation: it keeps every node's sequence,
+//! with the tasks of each segment linked through one per-node `next` array.
+//! OptMinMem is one cache pass over the subtree (each sequence stored over
+//! its children's, which nothing reads again) plus a walk of the root's
+//! lists; a caller that changes a tree locally re-derives the optimal peak
+//! and traversal of every affected subtree from the unaffected children's
+//! sequences.
 //!
 //! Correctness is property-tested against an exhaustive search over all
 //! topological orders for small random trees (see `tests/` and the
-//! `bruteforce` module).
+//! `bruteforce` module), and against the task-list composition this cache
+//! replaced.
 
 use oocts_tree::{NodeId, Schedule, Tree};
 
-use crate::segments::{compose_into, join_tasks, Atom, Segment};
-
-/// Reusable working buffers for OptMinMem.
-///
-/// One Liu run builds and tears down a segment list per node; callers that
-/// solve repeatedly (the RecExpand expansion loop re-solves a subtree before
-/// every node expansion) keep a single `ScratchSpace` so every `Vec` —
-/// per-node results, the composition staging areas, and the pools of
-/// emptied segment/task vectors — is recycled across runs.
-#[derive(Debug, Default)]
-pub struct ScratchSpace {
-    /// Canonical segment sequence per node, indexed by node id. Child slots
-    /// are drained (`mem::take`) when their parent combines them.
-    results: Vec<Vec<Segment>>,
-    /// The children's sequences detached for merging at the current node.
-    child_bufs: Vec<Vec<Segment>>,
-    /// Absolute memory profile of the current node before re-decomposition.
-    atoms: Vec<Atom>,
-    /// Emptied segment vectors awaiting reuse.
-    seg_pool: Vec<Vec<Segment>>,
-    /// Emptied task vectors awaiting reuse.
-    task_pool: Vec<Vec<NodeId>>,
-}
-
-impl ScratchSpace {
-    /// Creates an empty scratch space; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+use crate::segments::{pick_next, push_cut, Segment};
 
 /// Computes a peak-memory-optimal traversal of the whole tree.
 ///
@@ -60,118 +36,53 @@ pub fn opt_min_mem(tree: &Tree) -> (Schedule, u64) {
 ///
 /// Returns the schedule (covering exactly the subtree) and its peak memory.
 pub fn opt_min_mem_subtree(tree: &Tree, root: NodeId) -> (Schedule, u64) {
-    let mut scratch = ScratchSpace::new();
-    opt_min_mem_subtree_with(tree, root, &mut scratch)
-}
-
-/// Scratch-reusing variant of [`opt_min_mem_subtree`]: repeated solves
-/// recycle all internal buffers through `scratch`.
-pub fn opt_min_mem_subtree_with(
-    tree: &Tree,
-    root: NodeId,
-    scratch: &mut ScratchSpace,
-) -> (Schedule, u64) {
-    let mut segments = optimal_segments_with(tree, root, scratch);
-    let peak = segments.iter().map(|s| s.hill).max().unwrap_or(0);
-    // The global peak is attained in the first segment (hills are
-    // non-increasing and the first segment starts from an empty memory).
-    debug_assert_eq!(peak, segments.first().map(|s| s.hill).unwrap_or(0));
+    let cache = PeakCache::solved(tree, root);
     let mut order = Vec::with_capacity(tree.subtree_size(root));
-    for seg in segments.iter_mut() {
-        let mut tasks = std::mem::take(&mut seg.tasks);
-        order.append(&mut tasks);
-        scratch.task_pool.push(tasks);
-    }
-    segments.clear();
-    scratch.seg_pool.push(segments);
-    (Schedule::new(order), peak)
+    cache.schedule_into(tree, root, &mut order);
+    (Schedule::new(order), cache.peak(root))
 }
 
 /// Convenience wrapper returning only the optimal peak memory
-/// (`Peak_incore` in the paper's Section 6.1).
+/// (`Peak_incore` in the paper's Section 6.1): the cache pass alone.
 pub fn opt_min_mem_peak(tree: &Tree) -> u64 {
-    opt_min_mem(tree).1
+    PeakCache::solved(tree, tree.root()).peak(tree.root())
 }
 
-/// Computes the canonical hill–valley representation of an optimal traversal
-/// of the subtree rooted at `root`.
-pub fn optimal_segments(tree: &Tree, root: NodeId) -> Vec<Segment> {
-    let mut scratch = ScratchSpace::new();
-    optimal_segments_with(tree, root, &mut scratch)
-}
-
-/// Scratch-reusing variant of [`optimal_segments`]: the bottom-up inner loop
-/// of Liu's algorithm, allocation-free once `scratch` has warmed up.
-// lint: no_alloc
-pub fn optimal_segments_with(
-    tree: &Tree,
-    root: NodeId,
-    scratch: &mut ScratchSpace,
-) -> Vec<Segment> {
-    // Bottom-up over the precomputed postorder slice so arbitrarily deep
-    // trees do not overflow the call stack.
-    let order = tree.subtree_postorder(root);
-    // The postorder guarantees children are processed before their parent;
-    // taking a child's slot leaves an empty Vec behind, which is never read
-    // again, so no Option wrapper is needed.
-    // lint: allow(L003, one-time scratch growth to the tree size: amortized across runs)
-    scratch.results.resize_with(tree.len(), Vec::new);
-    for &node in order {
-        // Detach the children's canonical sequences for the composition.
-        scratch.child_bufs.clear();
-        for &c in tree.children(node) {
-            let child_segs = std::mem::take(&mut scratch.results[c.index()]);
-            scratch.child_bufs.push(child_segs); // lint: allow(L003, staging area reuses its capacity across nodes: amortized)
-        }
-        let mut tasks = scratch.task_pool.pop().unwrap_or_default();
-        tasks.push(node); // lint: allow(L003, single push into a pooled task vector: amortized)
-        let mut segs = scratch.seg_pool.pop().unwrap_or_default();
-        let task_pool = &mut scratch.task_pool;
-        compose_into(
-            &mut scratch.child_bufs,
-            tree.weight(node),
-            tree.children_weight(node),
-            tasks,
-            &mut scratch.atoms,
-            &mut segs,
-            |segment| join_tasks(segment, task_pool),
-        );
-        for buf in scratch.child_bufs.drain(..) {
-            debug_assert!(buf.is_empty());
-            scratch.seg_pool.push(buf); // lint: allow(L003, recycling an emptied vector into the pool: amortized)
-        }
-        scratch.results[node.index()] = segs;
-    }
-    std::mem::take(&mut scratch.results[root.index()])
-}
-
-/// Liu's canonical hill–valley sequence of every subtree, kept without task
-/// lists so that it can be maintained node by node.
+/// Liu's canonical hill–valley sequence of every subtree, maintained node by
+/// node, with the optimal traversal of each subtree readable from it.
 ///
 /// [`PeakCache::update`] recomposes one node from its children's cached
-/// sequences with the same composition step as [`optimal_segments_with`]
-/// and returns the node's optimal peak. Updating every node bottom-up costs
-/// one Liu pass and yields the optimal peak of every subtree; after a local
-/// change to the tree (a node expansion), only the changed nodes and their
-/// ancestors need updating, children first.
+/// sequences and returns the node's optimal peak; [`PeakCache::schedule_into`]
+/// lists the node's optimal traversal. Updating every node bottom-up costs
+/// one Liu pass and yields every subtree's optimum; after a local change to
+/// the tree (a node expansion), only the changed nodes and their ancestors
+/// need updating, children first.
 ///
 /// The sequences sit back to back in one arena, so a pass allocates nothing
-/// per node.
+/// per node; a re-stored sequence is appended and the arena is compacted
+/// once half of it is dead. A segment names only the first and last task of
+/// its run, the rest being linked through `next`. Joining two runs rewrites
+/// `next` of the first run's tail, and a tail of a node's segment is a tail
+/// in every sequence below it down to its own node (the node runs last in
+/// its own sequence). So a composition only rewrites links that are no
+/// sequence's interior below it, and every sequence whose subtree did not
+/// change since it was stored keeps valid lists. Memory is the total length
+/// of all sequences: one segment per node at least, and at most the sum of
+/// the subtree sizes. (The one-shot [`opt_min_mem`] keeps only the
+/// sequences still waiting for their parent.)
 #[derive(Debug, Default)]
 pub struct PeakCache {
-    /// Every node's canonical (hill, valley) sequence, back to back.
-    arena: Vec<Segment<()>>,
+    /// Every node's canonical sequence (relative hills and valleys), back to
+    /// back.
+    arena: Vec<Segment>,
     /// Start and length of each node's sequence in `arena`, by node id.
     spans: Vec<(usize, usize)>,
     /// Arena entries that no span covers any more.
     dead: usize,
-    /// Copies of the current node's children's sequences, drained by the
-    /// composition.
-    child_bufs: Vec<Vec<Segment<()>>>,
-    /// Absolute memory profile of the current node.
-    atoms: Vec<Atom<()>>,
-    /// The current node's new sequence.
-    out: Vec<Segment<()>>,
+    /// The task after each node within its segment's run.
+    next: Vec<NodeId>,
+    /// The unread range of each child's sequence during a merge.
+    cursors: Vec<(usize, usize)>,
 }
 
 impl PeakCache {
@@ -180,44 +91,86 @@ impl PeakCache {
         Self::default()
     }
 
+    /// A cache updated at every node of `root`'s subtree, bottom-up, for
+    /// reading `root` only: nothing reads a child's sequence once its parent
+    /// is composed, so each node's sequence moves down over its children's,
+    /// which in postorder are the last ones stored. The arena then holds the
+    /// pending sequences only, not every node's. The other nodes' spans are
+    /// left dangling; the task links stay valid.
+    fn solved(tree: &Tree, root: NodeId) -> Self {
+        let mut cache = PeakCache::new();
+        for &node in tree.subtree_postorder(root) {
+            let base = match tree.children(node).first() {
+                Some(c) => cache.spans[c.index()].0,
+                None => cache.arena.len(),
+            };
+            cache.update(tree, node);
+            let (start, len) = cache.spans[node.index()];
+            cache.arena.copy_within(start..start + len, base);
+            cache.arena.truncate(base + len);
+            cache.spans[node.index()] = (base, len);
+        }
+        cache
+    }
+
     /// Recomposes `node`'s sequence from its children's cached sequences,
     /// which must be up to date, and returns the optimal peak of the
     /// subtree rooted at `node`.
+    ///
+    /// The children's segments are merged straight from their arena spans
+    /// and cut canonically on top of the arena as they come, the node's own
+    /// run last; the result stays where it was cut.
     // lint: no_alloc
     pub fn update(&mut self, tree: &Tree, node: NodeId) -> u64 {
         // lint: allow(L003, grows with the tree, once per inserted node: amortized)
         self.spans.resize(tree.len(), (0, 0));
-        let children = tree.children(node);
-        if self.child_bufs.len() < children.len() {
-            // lint: allow(L003, staging area grows to the largest arity once: amortized)
-            self.child_bufs.resize_with(children.len(), Vec::new);
-        }
-        for (buf, &c) in self.child_bufs.iter_mut().zip(children) {
+        // lint: allow(L003, grows with the tree, once per inserted node: amortized)
+        self.next.resize(tree.len(), node);
+        self.cursors.clear();
+        for &c in tree.children(node) {
             let (start, len) = self.spans[c.index()];
-            buf.clear();
-            buf.extend_from_slice(&self.arena[start..start + len]);
+            self.cursors.push((start, start + len)); // lint: allow(L003, staging area grows to the largest arity once: amortized)
         }
-        compose_into(
-            &mut self.child_bufs[..children.len()],
-            tree.weight(node),
+        let floor = self.arena.len();
+        // Resident memory (absolute within the subtree) after the segments
+        // executed so far.
+        let mut base = 0u64;
+        while let Some(at) = pick_next(&self.arena, &mut self.cursors) {
+            let seg = self.arena[at];
+            let run = Segment {
+                hill: base + seg.hill,
+                valley: base + seg.valley,
+                ..seg
+            };
+            base = run.valley;
+            push_cut(&mut self.arena, floor, &mut self.next, run);
+        }
+        debug_assert_eq!(
+            base,
             tree.children_weight(node),
-            (),
-            &mut self.atoms,
-            &mut self.out,
-            |_| (),
+            "children valleys must sum to their weights"
         );
-        self.store(node);
-        self.peak(node)
-    }
-
-    /// Makes the freshly composed sequence `node`'s, appended at the end of
-    /// the arena; its old span dies. The arena is compacted whenever dead
-    /// entries make up more than half of it.
-    // lint: no_alloc
-    fn store(&mut self, node: NodeId) {
+        // Executing the node: all children outputs (and nothing else from
+        // this subtree) are resident, so the absolute peak is exactly w̄ and
+        // the resident data afterwards is the node's own output.
+        let weight = tree.weight(node);
+        let own = Segment {
+            hill: weight.max(base),
+            valley: weight,
+            head: node,
+            tail: node,
+        };
+        push_cut(&mut self.arena, floor, &mut self.next, own);
+        // Back to hills and valleys relative to each segment's start.
+        let mut before = 0u64;
+        for seg in &mut self.arena[floor..] {
+            let valley = seg.valley;
+            seg.hill -= before;
+            seg.valley -= before;
+            before = valley;
+        }
         self.dead += self.spans[node.index()].1;
-        self.spans[node.index()] = (self.arena.len(), self.out.len());
-        self.arena.extend_from_slice(&self.out);
+        self.spans[node.index()] = (floor, self.arena.len() - floor);
         if self.dead > self.arena.len() / 2 {
             let mut live = Vec::with_capacity(self.arena.len() - self.dead); // lint: allow(L003, compaction after half the arena died: amortized)
             for span in &mut self.spans {
@@ -228,6 +181,17 @@ impl PeakCache {
             self.arena = live;
             self.dead = 0;
         }
+        self.peak(node)
+    }
+
+    /// `node`'s canonical sequence as of its last [`PeakCache::update`]
+    /// (empty if it was never updated).
+    // lint: no_alloc
+    pub fn segments(&self, node: NodeId) -> &[Segment] {
+        match self.spans.get(node.index()) {
+            Some(&(start, len)) => &self.arena[start..start + len],
+            None => &[],
+        }
     }
 
     /// The optimal peak of the subtree rooted at `node` as of its last
@@ -235,9 +199,27 @@ impl PeakCache {
     /// its canonical sequence.
     // lint: no_alloc
     pub fn peak(&self, node: NodeId) -> u64 {
-        match self.spans.get(node.index()) {
-            Some(&(start, len)) if len > 0 => self.arena[start].hill,
-            _ => 0,
+        self.segments(node).first().map_or(0, |s| s.hill)
+    }
+
+    /// Writes into `order` (cleared first) the optimal traversal of the
+    /// subtree rooted at `node` as of its last [`PeakCache::update`]: every
+    /// segment's run, in sequence order. Reading changes nothing, so any
+    /// node's traversal can be read at any time; it is that of the current
+    /// tree as long as `node` was updated after every change in its subtree.
+    // lint: no_alloc
+    pub fn schedule_into(&self, tree: &Tree, node: NodeId, order: &mut Vec<NodeId>) {
+        order.clear();
+        for seg in self.segments(node) {
+            let mut task = seg.head;
+            // lint: allow(L003, caller-owned buffer reused across reads: amortized)
+            order.push(task);
+            // The length bound only guards against a corrupted cache.
+            while task != seg.tail && order.len() < tree.len() {
+                task = self.next[task.index()];
+                // lint: allow(L003, caller-owned buffer reused across reads: amortized)
+                order.push(task);
+            }
         }
     }
 }
@@ -321,6 +303,15 @@ mod tests {
         s.validate(&t).unwrap();
     }
 
+    /// The cache read at `v` agrees with a fresh solve of `v`'s subtree.
+    fn assert_matches_fresh_solve(cache: &PeakCache, t: &Tree, v: NodeId) {
+        let (schedule, peak) = opt_min_mem_subtree(t, v);
+        assert_eq!(cache.peak(v), peak, "peak of {v:?}");
+        let mut order = Vec::new();
+        cache.schedule_into(t, v, &mut order);
+        assert_eq!(order, schedule.order(), "traversal of {v:?}");
+    }
+
     #[test]
     fn peak_cache_matches_every_subtree_solve() {
         for t in [fig6_tree(), fig2b_tree()] {
@@ -330,14 +321,15 @@ mod tests {
                 assert_eq!(peak, opt_min_mem_subtree(&t, v).1);
             }
             for v in t.node_ids() {
-                assert_eq!(cache.peak(v), opt_min_mem_subtree(&t, v).1);
+                assert_matches_fresh_solve(&cache, &t, v);
             }
         }
     }
 
     /// Re-weights random nodes of a chain with long canonical sequences and
     /// updates each one's ancestors: the re-stored sequences force
-    /// compactions, and every cached peak stays that of a fresh solve.
+    /// compactions, and every cached peak and traversal stays that of a
+    /// fresh solve.
     #[test]
     fn peak_cache_follows_local_changes() {
         // From the leaf up, heavy weights decrease and light ones increase:
@@ -383,7 +375,7 @@ mod tests {
             );
             assert!(cache.dead <= cache.arena.len() / 2);
             for u in t.node_ids() {
-                assert_eq!(cache.peak(u), opt_min_mem_subtree(&t, u).1);
+                assert_matches_fresh_solve(&cache, &t, u);
             }
         }
         assert!(compacted, "some update compacted the arena");

@@ -15,29 +15,32 @@
 //! by merging the segments of its children's optimal traversals in
 //! non-increasing `hill − valley` order and executing the node last.
 //!
-//! That composition step, [`compose_into`], is written once over a generic
-//! segment payload: the task lists of OptMinMem's schedule
-//! (`Segment<Vec<NodeId>>`, the default), or nothing at all
-//! (`Segment<()>`) when only the peaks are wanted, as in
-//! [`crate::PeakCache`].
+//! A segment carries its tasks as the first and last node of a run linked
+//! through a per-node `next` array (owned by [`crate::PeakCache`]): joining
+//! two runs writes one link, so a composition never copies a task list.
+//! This module holds the two steps of a composition: the merge order
+//! (`pick_next`) and the canonical cut in one left-to-right pass
+//! (`push_cut`).
 
 use oocts_tree::NodeId;
 
-/// A contiguous piece of a traversal, summarised by its hill and valley
-/// (both relative to the memory resident when the segment starts), plus a
-/// payload: the tasks it executes, or `()` when only the profile matters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Segment<T = Vec<NodeId>> {
+/// A contiguous piece of a traversal: its hill and valley (both relative to
+/// the memory resident when the segment starts) and the first and last task
+/// of its run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Segment {
     /// Maximum memory used during the segment (relative to its start).
     pub hill: u64,
     /// Memory still resident at the end of the segment (relative to its
     /// start). Always `≤ hill`.
     pub valley: u64,
-    /// The tasks executed by this segment, in order.
-    pub tasks: T,
+    /// The first task of the segment.
+    pub head: NodeId,
+    /// The last task of the segment.
+    pub tail: NodeId,
 }
 
-impl<T> Segment<T> {
+impl Segment {
     /// The sort key of Liu's composition theorem: segments are merged in
     /// non-increasing `hill − valley` order.
     #[inline]
@@ -46,341 +49,213 @@ impl<T> Segment<T> {
     }
 }
 
-/// One step of an absolute memory profile used while re-decomposing a merged
-/// traversal: the peak reached while the step runs and the memory resident
-/// after it, both *absolute* within the subtree being combined.
-#[derive(Debug, Clone)]
-pub struct Atom<T = Vec<NodeId>> {
-    /// Peak memory while the atom runs (absolute).
-    pub peak: u64,
-    /// Memory resident after the atom (absolute).
-    pub resident: u64,
-    /// The tasks of this atom.
-    pub tasks: T,
-}
-
-/// Canonical hill–valley decomposition of a sequence of atoms.
-///
-/// Boundaries are placed at the (last occurrence of the) minimum resident
-/// value following each (first occurrence of the) maximum peak, which
-/// guarantees non-increasing hills, non-decreasing valleys and therefore
-/// non-increasing `hill − valley` keys.
-pub fn decompose(atoms: Vec<Atom>) -> Vec<Segment> {
-    let mut atoms = atoms;
-    let mut out = Vec::new();
-    let mut task_pool = Vec::new();
-    decompose_into(&mut atoms, &mut out, |segment| {
-        join_tasks(segment, &mut task_pool)
-    });
-    out
-}
-
-/// Buffer-reusing variant of [`decompose`] over any payload: drains `atoms`
-/// into canonical segments appended to `out` (cleared first). `join` turns
-/// the (non-empty) run of atoms forming one segment into that segment's
-/// payload.
+/// The merge order of Liu's composition theorem: among the children's
+/// remaining segments, `cursors[i]` being child `i`'s unread range of
+/// `segments`, returns the index of the next segment to execute and advances
+/// its cursor. That is the head segment of largest key; on ties the lowest
+/// child wins, so one child's segments never reorder. `None` once every
+/// cursor is exhausted.
 // lint: no_alloc
-pub fn decompose_into<T>(
-    atoms: &mut Vec<Atom<T>>,
-    out: &mut Vec<Segment<T>>,
-    mut join: impl FnMut(&mut [Atom<T>]) -> T,
+pub(crate) fn pick_next(segments: &[Segment], cursors: &mut [(usize, usize)]) -> Option<usize> {
+    let mut best: Option<(usize, u64)> = None;
+    for (i, &(at, end)) in cursors.iter().enumerate() {
+        if at < end {
+            let key = segments[at].key();
+            if best.is_none_or(|(_, bk)| key > bk) {
+                best = Some((i, key));
+            }
+        }
+    }
+    let (i, _) = best?;
+    let at = cursors[i].0;
+    cursors[i].0 = at + 1;
+    Some(at)
+}
+
+/// One step of the canonical cut, in a single left-to-right pass: `cur` is
+/// the next run of the profile, with its hill and valley *absolute*, and
+/// `stack[floor..]` the canonical segments (absolute too) of everything
+/// before it. A segment whose hill is below `cur`'s, or whose valley is not
+/// below `cur`'s, cannot end a canonical segment once `cur` follows it, so it
+/// is popped and joined in front of `cur` (`next[top.tail] = cur.head`)
+/// until the top has both a hill at least `cur`'s and a lower valley; then
+/// `cur` is pushed.
+///
+/// The stack thus keeps non-increasing hills and strictly increasing
+/// valleys. Its segments are exactly Liu's canonical ones: cut the whole
+/// profile at the last minimum after its first maximum, then do the same in
+/// the rest.
+// lint: no_alloc
+pub(crate) fn push_cut(
+    stack: &mut Vec<Segment>,
+    floor: usize,
+    next: &mut [NodeId],
+    mut cur: Segment,
 ) {
-    out.clear();
-    let mut rest = &mut atoms[..];
-    let mut resident_before = 0u64;
-    while !rest.is_empty() {
-        // First index with the maximum peak.
-        let mut hill_idx = 0usize;
-        for i in 1..rest.len() {
-            if rest[i].peak > rest[hill_idx].peak {
-                hill_idx = i;
-            }
+    while stack.len() > floor {
+        let top = stack[stack.len() - 1];
+        if top.hill >= cur.hill && top.valley < cur.valley {
+            break;
         }
-        // Last index at or after it with the minimum resident.
-        let mut valley_idx = hill_idx;
-        for i in hill_idx..rest.len() {
-            if rest[i].resident <= rest[valley_idx].resident {
-                valley_idx = i;
-            }
-        }
-        let hill_abs = rest[hill_idx].peak;
-        let valley_abs = rest[valley_idx].resident;
-        // Both values are at least the previous valley: the previous valley
-        // was the minimum resident over a suffix containing this one.
-        debug_assert!(hill_abs >= resident_before);
-        debug_assert!(valley_abs >= resident_before);
-        let (segment, tail) = std::mem::take(&mut rest).split_at_mut(valley_idx + 1);
-        // lint: allow(L003, segment output buffer is pooled by the caller: amortized)
-        out.push(Segment {
-            hill: hill_abs - resident_before,
-            valley: valley_abs - resident_before,
-            tasks: join(segment),
-        });
-        resident_before = valley_abs;
-        rest = tail;
+        next[top.tail.index()] = cur.head;
+        cur.head = top.head;
+        cur.hill = cur.hill.max(top.hill);
+        stack.pop();
     }
-    atoms.clear();
-    debug_assert!(is_canonical(out));
-}
-
-/// The [`decompose_into`] payload join of task-carrying segments: the first
-/// atom donates its task vector, the others drain into it (append moves
-/// elements) and go back to `task_pool` empty, so a caller cycling through
-/// many nodes reuses all task storage.
-// lint: no_alloc
-pub(crate) fn join_tasks(atoms: &mut [Atom], task_pool: &mut Vec<Vec<NodeId>>) -> Vec<NodeId> {
-    let mut tasks = std::mem::take(&mut atoms[0].tasks);
-    for atom in &mut atoms[1..] {
-        tasks.append(&mut atom.tasks);
-        task_pool.push(std::mem::take(&mut atom.tasks)); // lint: allow(L003, recycling an emptied vector into the pool: amortized)
-    }
-    tasks
-}
-
-/// `true` if the segment keys are non-increasing (the invariant required by
-/// the composition merge).
-pub fn is_canonical<T>(segments: &[Segment<T>]) -> bool {
-    segments.windows(2).all(|w| w[0].key() >= w[1].key())
-}
-
-/// Merges several canonical segment sequences into a single sequence ordered
-/// by non-increasing `hill − valley`, preserving the internal order of each
-/// input sequence (ties never reorder segments of the same child).
-pub fn merge<T>(children: Vec<Vec<Segment<T>>>) -> Vec<Segment<T>> {
-    let mut children = children;
-    let mut out = Vec::new();
-    merge_with(&mut children, |seg| out.push(seg));
-    out
-}
-
-/// The merge order of Liu's composition theorem, implemented once: hands
-/// every segment of `children` to `emit` in non-increasing key order. On
-/// ties the lowest child wins, so one child's segments never reorder.
-///
-/// Each child is reversed once so its next segment pops from the back in
-/// O(1); segments are moved, never cloned, and the children end up empty.
-// lint: no_alloc
-fn merge_with<T>(children: &mut [Vec<Segment<T>>], mut emit: impl FnMut(Segment<T>)) {
-    for child in children.iter_mut() {
-        child.reverse();
-    }
-    loop {
-        // Pick the child whose head segment has the largest key; on ties the
-        // lowest index wins, so a strict `>` preserves child order.
-        let mut best: Option<(usize, u64)> = None;
-        for (i, child) in children.iter().enumerate() {
-            if let Some(seg) = child.last() {
-                let key = seg.key();
-                if best.is_none_or(|(_, bk)| key > bk) {
-                    best = Some((i, key));
-                }
-            }
-        }
-        let Some((i, _)) = best else { break };
-        if let Some(seg) = children[i].pop() {
-            emit(seg);
-        }
-    }
-}
-
-/// Liu's composition at one node (his composition theorem, restated as
-/// Theorem 3 of the paper): merges the children's canonical sequences
-/// (drained) in non-increasing `hill − valley` order, executes the node
-/// last, and cuts the resulting absolute profile canonically into `out`.
-///
-/// `weight` and `children_weight` are the node's `w_i` and `Σ w_j`; `tasks`
-/// is the node's own payload and `join` the payload join handed to
-/// [`decompose_into`]. `atoms` is a staging buffer (cleared first).
-// lint: no_alloc
-pub fn compose_into<T>(
-    children: &mut [Vec<Segment<T>>],
-    weight: u64,
-    children_weight: u64,
-    tasks: T,
-    atoms: &mut Vec<Atom<T>>,
-    out: &mut Vec<Segment<T>>,
-    join: impl FnMut(&mut [Atom<T>]) -> T,
-) {
-    atoms.clear();
-    let mut base = 0u64;
-    merge_with(children, |seg| {
-        let peak = base + seg.hill;
-        base += seg.valley;
-        // lint: allow(L003, staging area reuses its capacity across nodes: amortized)
-        atoms.push(Atom {
-            peak,
-            resident: base,
-            tasks: seg.tasks,
-        });
-    });
-    debug_assert_eq!(
-        base, children_weight,
-        "children valleys must sum to their weights"
-    );
-    // Executing the node: all children outputs (and nothing else from this
-    // subtree) are resident, so the absolute peak is exactly w̄ and the
-    // resident data afterwards is the node's own output.
-    // lint: allow(L003, staging area reuses its capacity across nodes: amortized)
-    atoms.push(Atom {
-        peak: weight.max(children_weight),
-        resident: weight,
-        tasks,
-    });
-    decompose_into(atoms, out, join);
+    // lint: allow(L003, the stack is the cache's arena, whose capacity is reused across updates: amortized)
+    stack.push(cur);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn atom(peak: u64, resident: u64, id: u32) -> Atom {
-        Atom {
-            peak,
-            resident,
-            tasks: vec![NodeId(id)],
+    /// Cuts a profile of single-task atoms `(peak, resident)` (absolute,
+    /// atom `i` being task `i`), then converts the segments to relative
+    /// values and lists each one's tasks.
+    fn decompose(atoms: &[(u64, u64)]) -> Vec<(u64, u64, Vec<u32>)> {
+        let mut next = vec![NodeId(u32::MAX); atoms.len()];
+        let mut stack = Vec::new();
+        for (i, &(peak, resident)) in atoms.iter().enumerate() {
+            let id = NodeId::from_index(i);
+            let atom = Segment {
+                hill: peak,
+                valley: resident,
+                head: id,
+                tail: id,
+            };
+            push_cut(&mut stack, 0, &mut next, atom);
+        }
+        let mut before = 0;
+        stack
+            .iter()
+            .map(|s| {
+                let mut tasks = vec![s.head.0];
+                let mut v = s.head;
+                while v != s.tail {
+                    v = next[v.index()];
+                    tasks.push(v.0);
+                }
+                let relative = (s.hill - before, s.valley - before, tasks);
+                before = s.valley;
+                relative
+            })
+            .collect()
+    }
+
+    fn keys(segments: &[(u64, u64, Vec<u32>)]) -> Vec<u64> {
+        segments.iter().map(|(h, v, _)| h - v).collect()
+    }
+
+    fn seg(hill: u64, valley: u64, id: u32) -> Segment {
+        Segment {
+            hill,
+            valley,
+            head: NodeId(id),
+            tail: NodeId(id),
         }
     }
 
     #[test]
     fn decompose_single_atom() {
-        let segs = decompose(vec![atom(5, 3, 0)]);
-        assert_eq!(segs.len(), 1);
-        assert_eq!(segs[0].hill, 5);
-        assert_eq!(segs[0].valley, 3);
-        assert_eq!(segs[0].tasks, vec![NodeId(0)]);
+        assert_eq!(decompose(&[(5, 3)]), vec![(5, 3, vec![0])]);
     }
 
     #[test]
     fn decompose_monotone_profile() {
-        // Peaks decreasing, residents increasing: each atom is its own
-        // segment only if the hills strictly dominate; here the global max is
-        // the first atom and the minimum resident afterwards is at the first
-        // atom itself.
-        let segs = decompose(vec![atom(10, 2, 0), atom(6, 4, 1), atom(5, 5, 2)]);
-        assert_eq!(segs.len(), 3);
-        assert_eq!((segs[0].hill, segs[0].valley), (10, 2));
-        // Segment 2 is relative to resident 2, segment 3 to resident 4.
-        assert_eq!((segs[1].hill, segs[1].valley), (4, 2));
-        assert_eq!((segs[2].hill, segs[2].valley), (1, 1));
-        assert!(is_canonical(&segs));
+        // Peaks decreasing, residents increasing: every atom is its own
+        // segment, each relative to the previous valley.
+        let segs = decompose(&[(10, 2), (6, 4), (5, 5)]);
+        assert_eq!(
+            segs,
+            vec![(10, 2, vec![0]), (4, 2, vec![1]), (1, 1, vec![2])]
+        );
+        assert!(keys(&segs).windows(2).all(|w| w[0] >= w[1]));
     }
 
     #[test]
     fn decompose_groups_atoms_before_the_peak() {
         // The global peak is in the middle: everything before it joins its
         // segment.
-        let segs = decompose(vec![atom(3, 1, 0), atom(9, 4, 1), atom(5, 5, 2)]);
-        assert_eq!(segs.len(), 2);
-        assert_eq!((segs[0].hill, segs[0].valley), (9, 4));
-        assert_eq!(segs[0].tasks, vec![NodeId(0), NodeId(1)]);
-        assert_eq!((segs[1].hill, segs[1].valley), (1, 1));
+        let segs = decompose(&[(3, 1), (9, 4), (5, 5)]);
+        assert_eq!(segs, vec![(9, 4, vec![0, 1]), (1, 1, vec![2])]);
     }
 
     #[test]
     fn decompose_takes_minimum_after_the_peak() {
-        // Resident dips after the peak: the boundary is at the dip.
-        let segs = decompose(vec![atom(9, 6, 0), atom(7, 2, 1), atom(6, 5, 2)]);
-        assert_eq!(segs.len(), 2);
-        assert_eq!((segs[0].hill, segs[0].valley), (9, 2));
-        assert_eq!(segs[0].tasks, vec![NodeId(0), NodeId(1)]);
-        assert_eq!((segs[1].hill, segs[1].valley), (4, 3));
-        assert!(is_canonical(&segs));
+        // Resident dips after the peak: the boundary is at the dip; on equal
+        // peaks the first one opens the segment, on equal residents the last
+        // one closes it.
+        let segs = decompose(&[(9, 6), (7, 2), (6, 5)]);
+        assert_eq!(segs, vec![(9, 2, vec![0, 1]), (4, 3, vec![2])]);
+        assert!(keys(&segs).windows(2).all(|w| w[0] >= w[1]));
+        assert_eq!(
+            decompose(&[(9, 2), (9, 3)]),
+            vec![(9, 2, vec![0]), (7, 1, vec![1])]
+        );
+        assert_eq!(decompose(&[(9, 5), (9, 2)]), vec![(9, 2, vec![0, 1])]);
+        assert_eq!(decompose(&[(9, 3), (8, 3)]), vec![(9, 3, vec![0, 1])]);
     }
 
     #[test]
     fn merge_orders_by_key_and_preserves_child_order() {
-        let a = vec![
-            Segment {
-                hill: 10,
-                valley: 1,
-                tasks: vec![NodeId(0)],
-            },
-            Segment {
-                hill: 4,
-                valley: 2,
-                tasks: vec![NodeId(1)],
-            },
-        ];
-        let b = vec![Segment {
-            hill: 8,
-            valley: 3,
-            tasks: vec![NodeId(2)],
-        }];
-        let merged = merge(vec![a, b]);
-        let keys: Vec<u64> = merged.iter().map(Segment::key).collect();
-        assert_eq!(keys, vec![9, 5, 2]);
-        // Child a's two segments keep their relative order.
-        let pos0 = merged
-            .iter()
-            .position(|s| s.tasks.contains(&NodeId(0)))
-            .unwrap();
-        let pos1 = merged
-            .iter()
-            .position(|s| s.tasks.contains(&NodeId(1)))
-            .unwrap();
-        assert!(pos0 < pos1);
+        // Child 0: keys 9 then 2; child 1: key 5.
+        let segments = [seg(10, 1, 0), seg(4, 2, 1), seg(8, 3, 2)];
+        let mut cursors = [(0, 2), (2, 3)];
+        let order: Vec<usize> = std::iter::from_fn(|| pick_next(&segments, &mut cursors)).collect();
+        assert_eq!(order, vec![0, 2, 1]);
+        assert_eq!(cursors, [(2, 2), (3, 3)]);
     }
 
     #[test]
     fn merge_with_equal_keys_does_not_reorder_same_child() {
-        let a = vec![
-            Segment {
-                hill: 5,
-                valley: 1,
-                tasks: vec![NodeId(0)],
-            },
-            Segment {
-                hill: 4,
-                valley: 0,
-                tasks: vec![NodeId(1)],
-            },
-        ];
-        let merged = merge(vec![a.clone()]);
-        assert_eq!(merged, a);
+        // Equal keys everywhere: child 0's segments come first, in order.
+        let segments = [seg(5, 1, 0), seg(4, 0, 1), seg(6, 2, 2)];
+        let mut cursors = [(0, 2), (2, 3)];
+        let order: Vec<usize> = std::iter::from_fn(|| pick_next(&segments, &mut cursors)).collect();
+        assert_eq!(order, vec![0, 1, 2]);
     }
 
     #[test]
     fn composition_ignores_the_payload() {
         // Two children with (hill, valley) sequences [(9, 2), (4, 3)] and
-        // [(8, 1)], under a node of weight 3: the payload-free composition
-        // cuts exactly where the task-carrying one does.
-        let hv = |hill, valley, id| Segment {
-            hill,
-            valley,
-            tasks: vec![NodeId(id)],
+        // [(8, 1)] under a node of weight 3 (children weight 6): the cut
+        // depends on the profile only, whatever tasks the segments carry.
+        let profile = |ids: [u32; 4]| {
+            let children = [seg(9, 2, ids[0]), seg(4, 3, ids[1]), seg(8, 1, ids[2])];
+            let mut cursors = [(0, 2), (2, 3)];
+            let mut next = vec![NodeId(u32::MAX); 8];
+            let (mut stack, mut base) = (Vec::new(), 0);
+            while let Some(at) = pick_next(&children, &mut cursors) {
+                let s = children[at];
+                let atom = Segment {
+                    hill: base + s.hill,
+                    valley: base + s.valley,
+                    ..s
+                };
+                base = atom.valley;
+                push_cut(&mut stack, 0, &mut next, atom);
+            }
+            push_cut(&mut stack, 0, &mut next, seg(6, 3, ids[3]));
+            let mut order = Vec::new();
+            for s in &stack {
+                let mut v = s.head;
+                order.push(v.0);
+                while v != s.tail {
+                    v = next[v.index()];
+                    order.push(v.0);
+                }
+            }
+            let hv: Vec<(u64, u64)> = stack.iter().map(|s| (s.hill, s.valley)).collect();
+            (hv, order)
         };
-        let mut with_tasks = vec![vec![hv(9, 2, 0), hv(4, 3, 1)], vec![hv(8, 1, 2)]];
-        let mut bare: Vec<Vec<Segment<()>>> = with_tasks
-            .iter()
-            .map(|c| {
-                c.iter()
-                    .map(|s| Segment {
-                        hill: s.hill,
-                        valley: s.valley,
-                        tasks: (),
-                    })
-                    .collect()
-            })
-            .collect();
-        let (mut atoms, mut out, mut pool) = (Vec::new(), Vec::new(), Vec::new());
-        compose_into(
-            &mut with_tasks,
-            3,
-            6,
-            vec![NodeId(3)],
-            &mut atoms,
-            &mut out,
-            |s| join_tasks(s, &mut pool),
-        );
-        let (mut bare_atoms, mut bare_out) = (Vec::new(), Vec::new());
-        compose_into(&mut bare, 3, 6, (), &mut bare_atoms, &mut bare_out, |_| ());
-        let profile: Vec<(u64, u64)> = out.iter().map(|s| (s.hill, s.valley)).collect();
-        let bare_profile: Vec<(u64, u64)> = bare_out.iter().map(|s| (s.hill, s.valley)).collect();
-        assert_eq!(profile, bare_profile);
+        let (hv, order) = profile([0, 1, 2, 3]);
+        let (hv_other, order_other) = profile([7, 5, 6, 4]);
+        assert_eq!(hv, hv_other);
         // Keys 7, 7, 1: child 0's first segment wins the tie, and the node
-        // runs last.
-        let order: Vec<NodeId> = out.iter().flat_map(|s| s.tasks.clone()).collect();
-        assert_eq!(order, vec![NodeId(0), NodeId(2), NodeId(1), NodeId(3)]);
-        assert_eq!(profile[0].0, 10, "the optimal peak is the first hill");
+        // runs last. The optimal peak is the first hill.
+        assert_eq!(order, vec![0, 2, 1, 3]);
+        assert_eq!(order_other, vec![7, 6, 5, 4]);
+        assert_eq!(hv[0].0, 10);
     }
 }

@@ -29,8 +29,11 @@
 //! * **Cancellation.** The first failing cell stores its error in its slot
 //!   and raises a single [`AtomicBool`]; every worker checks the flag
 //!   between cells — mid-instance, not merely at the next instance
-//!   boundary — and drains out. After the join, the lowest-indexed
-//!   recorded error is reported, independent of thread scheduling.
+//!   boundary — and drains out. A worker that prepared an instance (its
+//!   seeded one included) still runs that instance's first cell, so a
+//!   worker that starts late cannot lose its instance's error to the flag.
+//!   After the join, the lowest-indexed recorded error is reported,
+//!   independent of thread scheduling.
 //!
 //! [`run_experiment`](crate::runner::run_experiment) runs entirely on this
 //! engine; per-worker steal/execute counters and the wall-clock of the run
@@ -298,11 +301,15 @@ fn worker_loop(
     let mut stats = WorkerStats::default();
     let mut dry_polls = 0u32;
     loop {
-        if shared.cancelled.load(Ordering::Acquire) || shared.pending.load(Ordering::Acquire) == 0 {
+        if shared.pending.load(Ordering::Acquire) == 0 {
             break;
         }
+        // The cancellation flag is checked between cells, not before a
+        // worker's first task or between a prep and the first cell it
+        // pushed: the worker's own instance always gets its first cell.
         let task = match local.pop() {
             Some(task) => Some((task, Source::Local)),
+            None if shared.cancelled.load(Ordering::Acquire) => break,
             None => acquire_task(id, &local, stealers, shared),
         };
         match task {
@@ -314,7 +321,11 @@ fn worker_loop(
                     Source::Injected => stats.injected += 1,
                     Source::Stolen => stats.stolen += 1,
                 }
+                let cell = !matches!(task, Task::Prep(_));
                 execute(task, &local, shared, tx);
+                if cell && shared.cancelled.load(Ordering::Acquire) {
+                    break;
+                }
             }
             None => {
                 // Nothing anywhere: another worker is still producing (or

@@ -59,6 +59,8 @@ impl Schedule {
     /// Nodes that are not part of the schedule get `usize::MAX`, which sorts
     /// *after* every scheduled node — convenient for Furthest-in-the-Future
     /// comparisons where "parent outside the schedule" means "needed last".
+    /// Scheduled ids that are not nodes of `tree` are skipped
+    /// ([`Schedule::validate`] reports them).
     pub fn positions(&self, tree: &Tree) -> Vec<usize> {
         let mut pos = Vec::new();
         self.positions_into(tree, &mut pos);
@@ -74,7 +76,9 @@ impl Schedule {
         pos.clear();
         pos.resize(tree.len(), usize::MAX);
         for (step, node) in self.order.iter().enumerate() {
-            pos[node.index()] = step;
+            if let Some(slot) = pos.get_mut(node.index()) {
+                *slot = step;
+            }
         }
     }
 
@@ -83,7 +87,6 @@ impl Schedule {
     /// every scheduled non-leaf node all its children are scheduled.
     pub fn validate(&self, tree: &Tree) -> Result<(), TreeError> {
         let mut seen = vec![false; tree.len()];
-        let pos = self.positions(tree);
         for &node in &self.order {
             if node.index() >= tree.len() {
                 return Err(TreeError::UnknownNode(node));
@@ -93,6 +96,7 @@ impl Schedule {
             }
             seen[node.index()] = true;
         }
+        let pos = self.positions(tree);
         for &node in &self.order {
             for &child in tree.children(node) {
                 if !seen[child.index()] {
@@ -211,6 +215,15 @@ mod tests {
         let s = Schedule::new(vec![NodeId(2), NodeId(1)]);
         s.validate(&t).unwrap();
         assert!(s.is_postorder(&t));
+    }
+
+    #[test]
+    fn unknown_node_is_an_error_not_a_panic() {
+        let t = sample();
+        let s = Schedule::new(vec![NodeId(2), NodeId(7), NodeId(1)]);
+        assert_eq!(s.validate(&t), Err(TreeError::UnknownNode(NodeId(7))));
+        assert!(!s.is_postorder(&t));
+        assert_eq!(s.positions(&t), vec![usize::MAX, 2, 0, usize::MAX]);
     }
 
     #[test]

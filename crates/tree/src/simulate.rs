@@ -13,9 +13,15 @@
 //! the I/O volume charged to it is always the volume reported by [`fif_io`],
 //! which keeps comparisons between heuristics fair and matches the paper's
 //! methodology.
+//!
+//! FiF's candidates sit in an indexed max-heap of the *evictable* nodes —
+//! produced, not yet consumed, not an input of the running node, with some
+//! units still in memory — keyed by the step of their parent, then the
+//! smaller id. A node enters when it is produced and leaves when its parent
+//! starts (before that step evicts anything) or when it is fully evicted,
+//! so a step costs O(log a) amortized for an active set of `a` nodes.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::error::TreeError;
 use crate::schedule::Schedule;
@@ -108,17 +114,16 @@ impl IoResult {
 
 /// Reusable buffers for [`fif_io_with`].
 ///
-/// The FiF simulator needs four working arrays plus a heap; callers that
-/// replay many schedules (the RecExpand expansion loop, benchmarks, the
-/// golden corpus) allocate one `FifScratch` and amortize every buffer across
-/// runs. Returned `τ` vectors can be handed back via [`FifScratch::recycle`]
-/// so even the output buffer rotates through a pool.
+/// The FiF simulator needs two working arrays plus an eviction heap;
+/// callers that replay many schedules (the RecExpand expansion loop,
+/// benchmarks, the golden corpus) allocate one `FifScratch` and amortize
+/// every buffer across runs. Returned `τ` vectors can be handed back via
+/// [`FifScratch::recycle`] so even the output buffer rotates through a pool.
 #[derive(Debug, Default)]
 pub struct FifScratch {
     in_mem: Vec<u64>,
-    active: Vec<bool>,
     positions: Vec<usize>,
-    heap: BinaryHeap<(usize, Reverse<u32>)>,
+    heap: EvictionHeap,
     tau_pool: Vec<Vec<u64>>,
 }
 
@@ -174,10 +179,7 @@ pub fn fif_io_with(
     // (meaningful only while i is active).
     scratch.in_mem.clear();
     scratch.in_mem.resize(tree.len(), 0);
-    scratch.active.clear();
-    scratch.active.resize(tree.len(), false);
     let in_mem = &mut scratch.in_mem;
-    let active = &mut scratch.active;
     let mut tau = scratch.tau_pool.pop().unwrap_or_default();
     tau.resize(tree.len(), 0);
     let mut total_io = 0u64;
@@ -185,10 +187,7 @@ pub fn fif_io_with(
     let mut peak_in_core = 0u64;
     let mut in_core_resident = 0u64; // resident if no I/O were ever done
 
-    // Max-heap of active nodes keyed by the step at which their parent (the
-    // consumer of their data) executes; the node needed furthest in the
-    // future sits on top. Entries are lazily invalidated.
-    scratch.heap.clear();
+    scratch.heap.reset(tree.len());
     let heap = &mut scratch.heap;
 
     for (step, node) in schedule.iter().enumerate() {
@@ -207,9 +206,13 @@ pub fn fif_io_with(
         peak_in_core = peak_in_core.max(in_core_resident + w.saturating_sub(cw));
         in_core_resident = in_core_resident - cw + w;
 
-        // Units of the children currently evicted; they must be read back
-        // before the node can execute. Reads are not counted as I/O but the
-        // space they occupy is part of w̄_i.
+        // The children are read back and consumed by this step, so they stop
+        // being eviction candidates before anything is evicted. Their
+        // evicted units must be read back before the node can execute; reads
+        // are not counted as I/O but the space they occupy is part of w̄_i.
+        for &c in tree.children(node) {
+            heap.remove(c);
+        }
         let children_in_mem: u64 = tree.children(node).iter().map(|&c| in_mem[c.index()]).sum();
         let others_resident = resident - children_in_mem;
 
@@ -217,42 +220,33 @@ pub fn fif_io_with(
         // the node fits.
         let mut to_evict = (others_resident + wbar).saturating_sub(memory);
         while to_evict > 0 {
-            let (par_pos, Reverse(raw)) = heap
-                .pop()
-                // lint: allow(L001, to_evict > 0 implies some non-child active data is resident, so the heap holds a live entry)
+            let victim = heap
+                .top()
+                // lint: allow(L001, to_evict > 0 implies some non-child active data is resident, so the heap is not empty)
                 .expect("eviction needed but no active data to evict");
-            let victim = NodeId(raw);
-            let stale = !active[victim.index()]
-                || in_mem[victim.index()] == 0
-                || tree.parent(victim) == Some(node)
-                || par_pos != parent_position(tree, positions, victim);
-            if stale {
-                continue;
-            }
             let amount = in_mem[victim.index()].min(to_evict);
             in_mem[victim.index()] -= amount;
             resident -= amount;
             tau[victim.index()] += amount;
             total_io = total_io.saturating_add(amount);
             to_evict -= amount;
-            if in_mem[victim.index()] > 0 {
-                heap.push((par_pos, Reverse(victim.0))); // lint: allow(L003, re-push into the scratch heap: capacity amortized across runs)
+            if in_mem[victim.index()] == 0 {
+                heap.remove(victim);
             }
         }
 
         // Read children back (no I/O counted), consume them, produce the
         // node's output fully in memory.
         for &c in tree.children(node) {
-            debug_assert!(active[c.index()]);
             resident -= in_mem[c.index()];
             in_mem[c.index()] = 0;
-            active[c.index()] = false;
         }
-        active[node.index()] = true;
         in_mem[node.index()] = w;
         resident = resident.saturating_add(w);
-        // lint: allow(L003, push into the scratch heap: capacity amortized across runs)
-        heap.push((parent_position(tree, positions, node), Reverse(node.0)));
+        if w > 0 {
+            // lint: allow(L003, push into the scratch heap: capacity amortized across runs)
+            heap.push(parent_position(tree, positions, node), node);
+        }
 
         debug_assert!(
             resident <= memory || resident - w <= memory.saturating_sub(wbar),
@@ -284,6 +278,108 @@ fn parent_position(tree: &Tree, positions: &[usize], node: NodeId) -> usize {
         // The subtree root's output is needed "after the end" of the
         // schedule: furthest in the future of all.
         None => usize::MAX,
+    }
+}
+
+/// `slot` value of a node that has no heap entry.
+const NOT_IN_HEAP: usize = usize::MAX;
+
+/// FiF's eviction candidates: an indexed binary max-heap of nodes keyed by
+/// the step of their parent (the consumer of their data), so the datum
+/// needed furthest in the future sits on top; between siblings the smaller
+/// id wins. `slot` locates every node's entry, so a node leaves the heap as
+/// soon as it stops being evictable and the heap never holds more than the
+/// active set. (A consumed node's key is below every live one's, so leaving
+/// it in would change no choice, only grow the heap to every node produced.)
+#[derive(Debug, Default)]
+struct EvictionHeap {
+    /// `(parent position, Reverse(node id))`, heap-ordered.
+    keys: Vec<(usize, Reverse<u32>)>,
+    /// Index of each node's entry in `keys`, or [`NOT_IN_HEAP`].
+    slot: Vec<usize>,
+}
+
+impl EvictionHeap {
+    /// Empties the heap for a tree of `len` nodes.
+    // lint: no_alloc
+    fn reset(&mut self, len: usize) {
+        self.keys.clear();
+        self.slot.clear();
+        // lint: allow(L003, scratch slot array grows to the tree size once: amortized across runs)
+        self.slot.resize(len, NOT_IN_HEAP);
+    }
+
+    /// The node to evict from next.
+    // lint: no_alloc
+    fn top(&self) -> Option<NodeId> {
+        self.keys.first().map(|&(_, Reverse(raw))| NodeId(raw))
+    }
+
+    /// Adds `node`, whose parent runs at step `parent_pos`.
+    // lint: no_alloc
+    fn push(&mut self, parent_pos: usize, node: NodeId) {
+        let i = self.keys.len();
+        // lint: allow(L003, push into the scratch heap: capacity amortized across runs)
+        self.keys.push((parent_pos, Reverse(node.0)));
+        self.slot[node.index()] = i;
+        self.sift_up(i);
+    }
+
+    /// Removes `node`'s entry, if it has one.
+    // lint: no_alloc
+    fn remove(&mut self, node: NodeId) {
+        let i = self.slot[node.index()];
+        if i == NOT_IN_HEAP {
+            return;
+        }
+        self.slot[node.index()] = NOT_IN_HEAP;
+        self.keys.swap_remove(i);
+        if let Some(&(_, Reverse(moved))) = self.keys.get(i) {
+            self.slot[NodeId(moved).index()] = i;
+            self.sift_down(i);
+            self.sift_up(i);
+        }
+    }
+
+    // lint: no_alloc
+    fn sift_up(&mut self, mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.keys[parent] > self.keys[i] {
+                break;
+            }
+            self.swap(i, parent);
+            i = parent;
+        }
+    }
+
+    // lint: no_alloc
+    fn sift_down(&mut self, mut i: usize) {
+        loop {
+            let left = 2 * i + 1;
+            let right = left + 1;
+            let mut largest = i;
+            if left < self.keys.len() && self.keys[left] > self.keys[largest] {
+                largest = left;
+            }
+            if right < self.keys.len() && self.keys[right] > self.keys[largest] {
+                largest = right;
+            }
+            if largest == i {
+                break;
+            }
+            self.swap(i, largest);
+            i = largest;
+        }
+    }
+
+    // lint: no_alloc
+    fn swap(&mut self, a: usize, b: usize) {
+        self.keys.swap(a, b);
+        let (_, Reverse(at_a)) = self.keys[a];
+        let (_, Reverse(at_b)) = self.keys[b];
+        self.slot[NodeId(at_a).index()] = a;
+        self.slot[NodeId(at_b).index()] = b;
     }
 }
 
@@ -504,6 +600,19 @@ mod tests {
             Err(TreeError::MemoryExceeded { .. })
         ));
         assert_eq!(check_traversal(&t, &s, &tau, 5).unwrap(), 0);
+    }
+
+    /// Every simulator validates before indexing, so a schedule naming a
+    /// node the tree does not have is an error, not an out-of-bounds panic.
+    #[test]
+    fn unknown_node_is_an_error_in_every_simulator() {
+        let t = sample();
+        let s = Schedule::new(vec![NodeId(2), NodeId(7)]);
+        let unknown = Some(TreeError::UnknownNode(NodeId(7)));
+        assert_eq!(fif_io(&t, &s, 10).err(), unknown);
+        assert_eq!(peak_memory(&t, &s).err(), unknown);
+        assert_eq!(memory_profile(&t, &s).err(), unknown);
+        assert_eq!(check_traversal(&t, &s, &[0; 4], 10).err(), unknown);
     }
 
     #[test]

@@ -68,8 +68,6 @@ pub use oocts_tree as tree;
 
 /// Convenient glob-import of the most used items of the workspace.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use oocts_core::algorithms::{Algorithm, AlgorithmResult};
     pub use oocts_core::homogeneous;
     pub use oocts_core::postorder::post_order_min_io;
     pub use oocts_core::recexpand::{full_rec_expand, rec_expand};

@@ -247,13 +247,6 @@ fn builtin_io_volumes_match_pre_refactor_enum() {
             inst.name
         );
     }
-
-    // The deprecated shim reports the very same volumes.
-    #[allow(deprecated)]
-    for (algo, expected) in Algorithm::ALL.iter().zip([4u64, 4, 3, 3, 4]) {
-        let res = algo.run(&paper::fig6(), paper::FIG6_MEMORY).unwrap();
-        assert_eq!(res.io_volume, expected, "{algo} shim drifted");
-    }
 }
 
 /// Paper examples reproduced through the public API (Appendix A).
