@@ -29,6 +29,14 @@ use crate::recexpand::rec_expand_with_limit;
 /// across all strategies (the FiF simulator, via [`Scheduler::solve`]). The
 /// trait is object-safe: the experiment runner, the figure binaries and the
 /// registry all work with `Arc<dyn Scheduler>`.
+///
+/// A strategy must depend only on the tree's shape, its weights and each
+/// node's child order, never on the numeric node ids: the experiment runner
+/// may hand it a copy of a large instance renumbered in postorder
+/// ([`Tree::renumbered_in_postorder`]), in which sibling order is kept but
+/// every id changes. Every built-in meets this: where one breaks a tie on
+/// ids, the tie is between siblings, whose ids ascend in child order in
+/// both numberings.
 pub trait Scheduler: Send + Sync {
     /// The strategy's display name, also its registry key. Parameterized
     /// schedulers should render their parameters in the canonical spec
@@ -54,7 +62,15 @@ pub trait Scheduler: Send + Sync {
     /// Runs the strategy and measures it: FiF I/O volume, the paper's
     /// performance metric, the schedule's in-core peak, expansion statistics
     /// and scheduling wall-time.
+    ///
+    /// # Errors
+    /// [`TreeError::ZeroMemory`] if `memory` is zero (the performance
+    /// `(M + IO)/M` is undefined there), otherwise any error of the
+    /// strategy or of the FiF replay.
     fn solve(&self, tree: &Tree, memory: u64) -> Result<SolveReport, TreeError> {
+        if memory == 0 {
+            return Err(TreeError::ZeroMemory);
+        }
         let started = Instant::now();
         let (schedule, expansion) = self.schedule_with_stats(tree, memory)?;
         let wall_time = started.elapsed();

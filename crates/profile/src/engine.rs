@@ -33,7 +33,20 @@
 //!   seeded one included) still runs that instance's first cell, so a
 //!   worker that starts late cannot lose its instance's error to the flag.
 //!   After the join, the lowest-indexed recorded error is reported,
-//!   independent of thread scheduling.
+//!   independent of thread scheduling. A worker that panics raises the
+//!   same flag as it unwinds, and the caller re-raises the panic after the
+//!   join: a run never returns rows it does not have.
+//! * **Layout.** Before the workers start, the caller's thread copies every
+//!   instance of at least [`RENUMBER_MIN_NODES`] nodes that is not already
+//!   numbered in postorder into [`Tree::renumbered_in_postorder`] order,
+//!   and the instance's prep and cells run on the copy. On a large tree in
+//!   generator order every kernel is bound by memory latency; on the copy
+//!   every subtree is a contiguous id range, so the same work reads its
+//!   arrays front to back. Results carry no node ids and every built-in
+//!   breaks ties only between siblings, whose order the copy keeps, so the
+//!   results are identical. The nodes a failing cell's
+//!   [`TreeError`](oocts_tree::TreeError) names are mapped back to the
+//!   original's ids.
 //!
 //! [`run_experiment`](crate::runner::run_experiment) runs entirely on this
 //! engine; per-worker steal/execute counters and the wall-clock of the run
@@ -47,6 +60,8 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
+
+use oocts_tree::Tree;
 
 use crate::bounds::MemoryBounds;
 use crate::metric::performance;
@@ -148,10 +163,40 @@ struct CellDone {
 
 type CellSlot = OnceLock<Result<CellDone, ExperimentError>>;
 
+/// Instances of at least this many nodes run on a postorder-numbered copy.
+/// On SYNTH trees, the copy made prep plus the three linear-time cells
+/// 1.07× faster at 3,000 nodes, 1.28× at 30k, 1.62× at 65k and 3.46× at
+/// 262k (one thread of a 2-vCPU Xeon VM; EXPERIMENTS.md has the sweep).
+/// Below the gate the copy, 44 bytes per node for the whole run, would buy
+/// next to no time.
+pub const RENUMBER_MIN_NODES: usize = 1 << 15;
+
+/// The postorder-numbered copy [`run`] solves `tree` on, or `None` if
+/// `tree` is below [`RENUMBER_MIN_NODES`], already numbered in postorder,
+/// or has a node whose child ids do not ascend in child order (only
+/// [`Tree::splice_above`] makes one). The built-ins break ties between
+/// siblings by id, which follows child order on the copy, so on such a
+/// tree the copy could pick the other sibling.
+fn postorder_copy(tree: &Tree) -> Option<Tree> {
+    let eligible = tree.len() >= RENUMBER_MIN_NODES
+        && tree
+            .postorder()
+            .iter()
+            .enumerate()
+            .any(|(p, n)| n.index() != p)
+        && tree
+            .node_ids()
+            .all(|n| tree.children(n).windows(2).all(|w| w[0] < w[1]));
+    eligible.then(|| tree.renumbered_in_postorder())
+}
+
 /// Everything the workers share. All hot-path state is atomic or
 /// write-once; nothing here is behind a mutex.
 struct Shared<'a> {
-    instances: &'a [(String, oocts_tree::Tree)],
+    instances: &'a [(String, Tree)],
+    /// Per-instance postorder-numbered copy ([`postorder_copy`]) that the
+    /// prep and cells run on instead of the original.
+    copies: Vec<Option<Tree>>,
     config: &'a ExperimentConfig,
     /// Number of scheduler columns.
     algs: usize,
@@ -173,11 +218,34 @@ struct Shared<'a> {
     injector: Injector<Task>,
 }
 
+impl Shared<'_> {
+    /// The tree instance `i` is solved on: its copy if it has one.
+    fn tree(&self, i: usize) -> &Tree {
+        self.copies[i].as_ref().unwrap_or(&self.instances[i].1)
+    }
+}
+
+/// Raises the cancellation flag if its worker unwinds, so that the other
+/// workers drain out instead of waiting for the panicked task forever.
+struct CancelOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for CancelOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+}
+
 /// Runs the experiment grid and returns the ordered kept rows plus the
 /// engine counters. `on_row` observes every row, in instance order, as soon
 /// as its instance completes — typically long before the grid finishes.
+///
+/// # Panics
+/// Re-raises the panic of a worker (a panicking scheduler, say) once every
+/// worker has stopped.
 pub(crate) fn run(
-    instances: &[(String, oocts_tree::Tree)],
+    instances: &[(String, Tree)],
     config: &ExperimentConfig,
     mut on_row: impl FnMut(&InstanceResult),
 ) -> Result<(Vec<InstanceResult>, EngineStats), ExperimentError> {
@@ -193,8 +261,12 @@ pub(crate) fn run(
 
     let n = instances.len();
     let algs = config.schedulers.len();
+    // Copied here, on the caller's thread before the workers start: a copy
+    // made by the prep task on a worker raised imbal-t2's peak RSS from 75
+    // to 96 MiB.
     let shared = Shared {
         instances,
+        copies: instances.iter().map(|(_, t)| postorder_copy(t)).collect(),
         config,
         algs,
         prep: (0..n).map(|_| OnceLock::new()).collect(),
@@ -265,7 +337,10 @@ pub(crate) fn run(
 
         handles
             .into_iter()
-            .map(|h| h.join().unwrap_or_default())
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
             .collect()
     });
 
@@ -298,6 +373,7 @@ fn worker_loop(
     shared: &Shared<'_>,
     tx: &channel::Sender<(usize, Option<InstanceResult>)>,
 ) -> WorkerStats {
+    let _cancel_on_panic = CancelOnPanic(&shared.cancelled);
     let mut stats = WorkerStats::default();
     let mut dry_polls = 0u32;
     loop {
@@ -429,8 +505,7 @@ fn execute(
 /// slot; returns the memory value, or `None` if the interestingness filter
 /// drops the instance.
 fn prep_instance(i: usize, shared: &Shared<'_>) -> Option<u64> {
-    let (_, tree) = &shared.instances[i];
-    let bounds = MemoryBounds::of(tree);
+    let bounds = MemoryBounds::of(shared.tree(i));
     let kept = !shared.config.filter_interesting || bounds.is_interesting();
     let memory = bounds.memory(shared.config.bound);
     let _ = shared.prep[i].set(kept.then_some((bounds, memory)));
@@ -441,9 +516,8 @@ fn prep_instance(i: usize, shared: &Shared<'_>) -> Option<u64> {
 /// error, after raising the cancellation flag.
 fn solve_cell(i: usize, a: usize, memory: u64, shared: &Shared<'_>) -> bool {
     let cell_started = Instant::now();
-    let (name, tree) = &shared.instances[i];
     let scheduler = &shared.config.schedulers[a];
-    match scheduler.solve(tree, memory) {
+    match scheduler.solve(shared.tree(i), memory) {
         Ok(report) => {
             let done = CellDone {
                 io_volume: report.io_volume,
@@ -457,6 +531,15 @@ fn solve_cell(i: usize, a: usize, memory: u64, shared: &Shared<'_>) -> bool {
             true
         }
         Err(source) => {
+            let (name, original) = &shared.instances[i];
+            let source = match &shared.copies[i] {
+                // Node `p` of the copy is `original.postorder()[p]`; ids past
+                // the original's (a strategy's own expansion nodes) stay.
+                Some(_) => {
+                    source.map_nodes(|n| original.postorder().get(n.index()).copied().unwrap_or(n))
+                }
+                None => source,
+            };
             let _ = shared.cells[i * shared.algs + a].set(Err(ExperimentError {
                 instance: name.clone(),
                 scheduler: scheduler.name(),
@@ -518,4 +601,31 @@ fn assemble_row(i: usize, shared: &Shared<'_>) -> Option<InstanceResult> {
         wall_times,
         cell_times,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use oocts_tree::NodeId;
+
+    /// A complete binary tree numbered breadth-first (not a postorder).
+    fn breadth_first_tree(n: usize) -> Tree {
+        let weights: Vec<u64> = (0..n as u64).map(|i| 1 + i % 7).collect();
+        let parents: Vec<Option<usize>> = (0..n).map(|i| i.checked_sub(1).map(|p| p / 2)).collect();
+        Tree::from_parents(&weights, &parents).unwrap()
+    }
+
+    #[test]
+    fn only_large_trees_out_of_postorder_are_copied() {
+        assert!(postorder_copy(&breadth_first_tree(RENUMBER_MIN_NODES - 1)).is_none());
+        let large = breadth_first_tree(RENUMBER_MIN_NODES);
+        let copy = postorder_copy(&large).expect("large and breadth-first");
+        assert_eq!(copy, large.renumbered_in_postorder());
+        assert!(postorder_copy(&copy).is_none(), "already in postorder");
+        // Splicing above node 1 puts the new, highest id first among the
+        // root's children: the copy would turn that sibling order around.
+        let mut spliced = large;
+        spliced.splice_above(NodeId(1), 1);
+        assert!(postorder_copy(&spliced).is_none());
+    }
 }

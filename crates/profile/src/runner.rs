@@ -328,6 +328,10 @@ impl ExperimentResults {
 /// any worker records an error. The paper's memory bounds are feasible by
 /// construction, so an error indicates a misconfigured instance or a buggy
 /// strategy.
+///
+/// # Panics
+/// If a strategy panics, the panic reaches the caller once every worker has
+/// stopped; the run never returns `Ok` without the rows it lost.
 pub fn run_experiment(
     instances: &[(String, Tree)],
     config: &ExperimentConfig,
@@ -667,6 +671,74 @@ mod tests {
             "the second scheduler cell of the big instance ran after the \
              poison error; cancellation must abort mid-instance"
         );
+    }
+
+    #[test]
+    fn zero_memory_bound_is_an_error_not_a_lost_row() {
+        // All weights zero: every bound, so the memory value, is zero.
+        let zero = Tree::from_parents(&[0, 0, 0], &[None, Some(0), Some(0)]).unwrap();
+        let healthy = Tree::from_parents(&[1, 2, 3], &[None, Some(0), Some(0)]).unwrap();
+        let instances = vec![("zero".to_string(), zero), ("healthy".to_string(), healthy)];
+        for threads in [1, 2] {
+            let config = ExperimentConfig {
+                threads,
+                ..ExperimentConfig::synth(MemoryBound::Middle)
+            };
+            let err = run_experiment(&instances, &config).unwrap_err();
+            assert_eq!(err.instance, "zero", "threads = {threads}");
+            assert_eq!(err.source, TreeError::ZeroMemory);
+        }
+    }
+
+    /// A scheduler that panics on instances of one size.
+    #[derive(Debug)]
+    struct PanicsOn {
+        nodes: usize,
+    }
+
+    impl Scheduler for PanicsOn {
+        fn name(&self) -> String {
+            "PanicsOn".to_string()
+        }
+
+        fn schedule(&self, tree: &Tree, _memory: u64) -> Result<Schedule, TreeError> {
+            assert_ne!(tree.len(), self.nodes, "deliberate scheduler panic");
+            Ok(Schedule::postorder(tree))
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_the_caller() {
+        // Instance 3 (6 nodes) panics; the others are healthy.
+        let mut instances: Vec<_> = (0..8).map(instance).collect();
+        let mut b = TreeBuilder::new();
+        let r = b.add_root(2);
+        let mut prev = r;
+        for w in [3, 4, 1, 5, 2] {
+            prev = b.add_child(prev, w);
+        }
+        instances.insert(3, ("inst-panic".to_string(), b.build().unwrap()));
+        for threads in [1, 2] {
+            let config = ExperimentConfig {
+                threads,
+                ..ExperimentConfig::new(
+                    vec![Arc::new(PostOrderMinIo), Arc::new(PanicsOn { nodes: 6 })],
+                    MemoryBound::Middle,
+                )
+            };
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_experiment(&instances, &config)
+            }));
+            let payload = outcome.expect_err("the scheduler panic must not turn into Ok");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(
+                message.contains("deliberate scheduler panic"),
+                "threads = {threads}: {message:?}"
+            );
+        }
     }
 
     #[test]

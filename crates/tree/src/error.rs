@@ -9,6 +9,13 @@ use crate::tree::NodeId;
 pub enum TreeError {
     /// The tree has no nodes.
     Empty,
+    /// The weight and parent arrays of a tree differ in length.
+    LengthMismatch {
+        /// Number of weights.
+        weights: usize,
+        /// Number of parent entries.
+        parents: usize,
+    },
     /// A node references a parent that does not exist.
     UnknownNode(NodeId),
     /// More than one node has no parent.
@@ -56,6 +63,9 @@ pub enum TreeError {
         /// Available memory `M`.
         available: u64,
     },
+    /// The memory bound is zero, where the paper's performance `(M + IO)/M`
+    /// is undefined.
+    ZeroMemory,
     /// Summing weights overflows `u64`: either the children weights of this
     /// node, or the total weight of all nodes up to this one.
     WeightOverflow(NodeId),
@@ -71,10 +81,59 @@ pub enum TreeError {
     },
 }
 
+impl TreeError {
+    /// The same error with every node it names passed through `map`: how a
+    /// failure on a renumbered copy of a tree is reported in the ids of the
+    /// original.
+    pub fn map_nodes(self, map: impl Fn(NodeId) -> NodeId) -> TreeError {
+        use TreeError::*;
+        match self {
+            UnknownNode(n) => UnknownNode(map(n)),
+            MultipleRoots(a, b) => MultipleRoots(map(a), map(b)),
+            Cycle(n) => Cycle(map(n)),
+            NotTopological(n) => NotTopological(map(n)),
+            MissingChild { node, child } => MissingChild {
+                node: map(node),
+                child: map(child),
+            },
+            DuplicateNode(n) => DuplicateNode(map(n)),
+            InsufficientMemory {
+                node,
+                required,
+                available,
+            } => InsufficientMemory {
+                node: map(node),
+                required,
+                available,
+            },
+            IoExceedsWeight { node, io, weight } => IoExceedsWeight {
+                node: map(node),
+                io,
+                weight,
+            },
+            MemoryExceeded {
+                node,
+                used,
+                available,
+            } => MemoryExceeded {
+                node: map(node),
+                used,
+                available,
+            },
+            WeightOverflow(n) => WeightOverflow(map(n)),
+            e @ (Empty | LengthMismatch { .. } | NoRoot | ZeroMemory | ReportMismatch { .. }) => e,
+        }
+    }
+}
+
 impl fmt::Display for TreeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TreeError::Empty => write!(f, "tree has no nodes"),
+            TreeError::LengthMismatch { weights, parents } => write!(
+                f,
+                "{weights} weights but {parents} parent entries: one of each per node"
+            ),
             TreeError::UnknownNode(n) => write!(f, "unknown node {n:?}"),
             TreeError::MultipleRoots(a, b) => {
                 write!(f, "multiple roots: {a:?} and {b:?}")
@@ -108,6 +167,9 @@ impl fmt::Display for TreeError {
                 f,
                 "traversal uses {used} memory units at node {node:?} but only {available} are available"
             ),
+            TreeError::ZeroMemory => {
+                write!(f, "memory bound is zero: the performance (M + IO)/M is undefined")
+            }
             TreeError::WeightOverflow(n) => {
                 write!(f, "weights summed at node {n:?} overflow u64")
             }
@@ -124,3 +186,32 @@ impl fmt::Display for TreeError {
 }
 
 impl std::error::Error for TreeError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn map_nodes_maps_every_named_node_and_nothing_else() {
+        let shift = |n: NodeId| NodeId(n.0 + 10);
+        assert_eq!(
+            TreeError::MissingChild {
+                node: NodeId(1),
+                child: NodeId(2),
+            }
+            .map_nodes(shift),
+            TreeError::MissingChild {
+                node: NodeId(11),
+                child: NodeId(12),
+            }
+        );
+        assert_eq!(
+            TreeError::NotTopological(NodeId(0)).map_nodes(shift),
+            TreeError::NotTopological(NodeId(10))
+        );
+        assert_eq!(
+            TreeError::ZeroMemory.map_nodes(shift),
+            TreeError::ZeroMemory
+        );
+    }
+}

@@ -393,7 +393,13 @@ pub fn check_traversal(
     memory: u64,
 ) -> Result<u64, TreeError> {
     schedule.validate(tree)?;
-    assert_eq!(tau.len(), tree.len(), "tau must be indexed by node id");
+    if tau.len() != tree.len() {
+        return Err(TreeError::ReportMismatch {
+            field: "τ length",
+            reported: tau.len() as u64,
+            actual: tree.len() as u64,
+        });
+    }
     for node in tree.node_ids() {
         if tau[node.index()] > tree.weight(node) {
             return Err(TreeError::IoExceedsWeight {
@@ -600,6 +606,20 @@ mod tests {
             Err(TreeError::MemoryExceeded { .. })
         ));
         assert_eq!(check_traversal(&t, &s, &tau, 5).unwrap(), 0);
+    }
+
+    #[test]
+    fn check_traversal_rejects_a_short_tau() {
+        let t = sample();
+        let s = Schedule::postorder(&t);
+        assert_eq!(
+            check_traversal(&t, &s, &[0; 3], 10),
+            Err(TreeError::ReportMismatch {
+                field: "τ length",
+                reported: 3,
+                actual: 4,
+            })
+        );
     }
 
     /// Every simulator validates before indexing, so a schedule naming a

@@ -120,16 +120,18 @@ impl Tree {
     /// must have no parent, and the weights must be summable: a node whose
     /// children weights, or a prefix of `weights` whose total, overflows
     /// `u64` is rejected with [`TreeError::WeightOverflow`] naming the
-    /// lowest such node (children sums are checked first).
+    /// lowest such node (children sums are checked first). Slices of
+    /// different lengths are rejected with [`TreeError::LengthMismatch`].
     pub fn from_parents(weights: &[u64], parents: &[Option<usize>]) -> Result<Self, TreeError> {
+        if weights.len() != parents.len() {
+            return Err(TreeError::LengthMismatch {
+                weights: weights.len(),
+                parents: parents.len(),
+            });
+        }
         if weights.is_empty() {
             return Err(TreeError::Empty);
         }
-        assert_eq!(
-            weights.len(),
-            parents.len(),
-            "weights and parents must have the same length"
-        );
         let n = weights.len();
         let mut parent = vec![NO_PARENT; n];
         let mut root = None;
@@ -200,6 +202,60 @@ impl Tree {
             depth: vec![0],
             height: 0,
             root: NodeId(0),
+        }
+    }
+
+    /// The same tree with its nodes renumbered in postorder: node `p` of the
+    /// copy is `self.postorder()[p]`, so mapping a node id of the copy
+    /// through `self.postorder()` gives back the original node.
+    ///
+    /// Every child list keeps its order, the copy's postorder and postorder
+    /// positions are the identity, and its root is `len() − 1`. Every
+    /// subtree occupies a contiguous id range that ends at its root, so
+    /// bottom-up passes and simulations read the arrays front to back
+    /// instead of in the scattered order of, say, a generator's insertion
+    /// ids. One O(n) pass writes the arena directly: no DFS, no
+    /// [`Tree::from_parents`] round trip (whose result the copy is `==`
+    /// to). Renumbering a tree already numbered in postorder returns an
+    /// equal tree.
+    pub fn renumbered_in_postorder(&self) -> Tree {
+        let n = self.len();
+        // Old id → new id is the postorder position.
+        let new_id = &self.postorder_pos;
+        let mut weights = Vec::with_capacity(n);
+        let mut parent = Vec::with_capacity(n);
+        let mut child_start = Vec::with_capacity(n + 1);
+        let mut children_flat = Vec::with_capacity(self.children_flat.len());
+        let mut children_weight = Vec::with_capacity(n);
+        let mut subtree_size = Vec::with_capacity(n);
+        let mut depth = Vec::with_capacity(n);
+        child_start.push(0);
+        for &old in &self.postorder {
+            let i = old.index();
+            weights.push(self.weights[i]);
+            parent.push(match self.parent[i] {
+                NO_PARENT => NO_PARENT,
+                p => new_id[p as usize],
+            });
+            children_flat.extend(self.children(old).iter().map(|c| NodeId(new_id[c.index()])));
+            // At most one entry per node: the original's u32 offsets fit.
+            child_start.push(children_flat.len() as u32);
+            children_weight.push(self.children_weight[i]);
+            subtree_size.push(self.subtree_size[i]);
+            depth.push(self.depth[i]);
+        }
+        Tree {
+            weights,
+            parent,
+            child_start,
+            children_flat,
+            children_weight,
+            postorder: (0..n).map(NodeId::from_index).collect(),
+            postorder_pos: (0..n as u32).collect(),
+            subtree_size,
+            depth,
+            height: self.height,
+            root: NodeId(new_id[self.root.index()]),
         }
     }
 
@@ -863,6 +919,62 @@ mod tests {
             Tree::from_parents(&[1, 1, 1], &[None, Some(2), Some(1)]),
             Err(TreeError::Cycle(NodeId(1)))
         );
+    }
+
+    #[test]
+    fn from_parents_rejects_mismatched_lengths() {
+        assert_eq!(
+            Tree::from_parents(&[1, 2], &[None]),
+            Err(TreeError::LengthMismatch {
+                weights: 2,
+                parents: 1,
+            })
+        );
+        assert_eq!(
+            Tree::from_parents(&[], &[None]),
+            Err(TreeError::LengthMismatch {
+                weights: 0,
+                parents: 1,
+            })
+        );
+    }
+
+    #[test]
+    fn renumbering_in_postorder_keeps_the_tree() {
+        let mut spliced = sample();
+        spliced.splice_above(NodeId(3), 1);
+        spliced.splice_above(spliced.root(), 2);
+        for t in [sample(), spliced] {
+            let copy = t.renumbered_in_postorder();
+            let n = t.len();
+            // Node p of the copy is t.postorder()[p], children in order.
+            for p in copy.node_ids() {
+                let old = t.postorder()[p.index()];
+                assert_eq!(copy.weight(p), t.weight(old));
+                assert_eq!(copy.subtree_size(p), t.subtree_size(old));
+                assert_eq!(copy.depth(p), t.depth(old));
+                let kids: Vec<NodeId> = copy
+                    .children(p)
+                    .iter()
+                    .map(|c| t.postorder()[c.index()])
+                    .collect();
+                assert_eq!(kids, t.children(old));
+            }
+            assert!(copy
+                .postorder()
+                .iter()
+                .enumerate()
+                .all(|(p, n)| n.index() == p));
+            assert_eq!(copy.root(), NodeId::from_index(n - 1));
+            assert_eq!(copy.height(), t.height());
+            let parents: Vec<Option<usize>> = copy
+                .node_ids()
+                .map(|p| copy.parent(p).map(NodeId::index))
+                .collect();
+            assert_eq!(Tree::from_parents(&copy.weights, &parents).unwrap(), copy);
+            assert_eq!(copy.renumbered_in_postorder(), copy);
+            copy.validate().unwrap();
+        }
     }
 
     #[test]

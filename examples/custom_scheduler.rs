@@ -10,6 +10,9 @@
 //! child with the tallest subtree first. Not a good idea (the paper's
 //! `PostOrderMinIO` orders children by an exact analysis instead), but that
 //! is the point: the harness makes it easy to measure *how* bad an idea is.
+//! Like every strategy, it looks only at the tree's shape and child order
+//! (its sort is stable), never at node ids, so it gives the same schedule
+//! on the postorder-numbered copy the runner makes of a large instance.
 //!
 //! Run with: `cargo run --release --example custom_scheduler`
 
