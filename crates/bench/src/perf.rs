@@ -832,4 +832,43 @@ mod tests {
             "golden.tsv differs"
         );
     }
+
+    #[test]
+    fn pretty_rendering_parses_back_identically() {
+        let value = Value::object()
+            .with("scheduler", Value::Str("RecExpand".to_string()))
+            .with("io_volume", Value::U64(12))
+            .with("performance", Value::F64(1.0))
+            .with(
+                "expansion",
+                Value::object()
+                    .with("expansions", Value::U64(2))
+                    .with("hit_iteration_cap", Value::Bool(false)),
+            )
+            .with("schedule", Value::Array(vec![Value::U64(3), Value::U64(1)]));
+        let pretty = value.render_pretty();
+        assert!(pretty.ends_with('\n'));
+        assert_eq!(Value::parse(&pretty).unwrap(), value);
+    }
+
+    #[test]
+    fn json_strings_with_special_characters_round_trip() {
+        for name in ["a,b", "q\"uo\"te", "line\nbreak", "tab\tand\rcr", "ünïcode"] {
+            let value = Value::Str(name.to_string());
+            let parsed = Value::parse(&value.render()).unwrap();
+            assert_eq!(parsed.as_str(), Some(name));
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_located_error_not_a_stack_overflow() {
+        use serde::value::MAX_DEPTH;
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&deepest).is_ok());
+        // The first bracket past the limit is the offending offset.
+        let err = Value::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        let err = Value::parse(&r#"{"k":"#.repeat(200_000)).unwrap_err();
+        assert_eq!(err.offset, 5 * MAX_DEPTH);
+    }
 }

@@ -52,7 +52,6 @@ pub mod postorder;
 pub mod recexpand;
 pub mod registry;
 pub mod scheduler;
-pub mod serialize;
 pub mod theorem2;
 
 #[cfg(feature = "brute-force")]

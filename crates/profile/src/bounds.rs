@@ -74,8 +74,11 @@ impl MemoryBounds {
         match bound {
             MemoryBound::LowerBound => self.lower_bound,
             MemoryBound::Middle => {
-                // M = (LB + Peak − 1) / 2, clamped to the feasible range.
-                ((self.lower_bound + self.peak_incore.saturating_sub(1)) / 2).max(self.lower_bound)
+                // M = (LB + Peak − 1) / 2, clamped to the feasible range,
+                // computed as LB + (Peak − 1 − LB) / 2 so that it cannot
+                // overflow.
+                let lb = self.lower_bound;
+                lb + self.peak_incore.saturating_sub(1).saturating_sub(lb) / 2
             }
             MemoryBound::BelowPeak => self.peak_incore.saturating_sub(1).max(self.lower_bound),
         }
@@ -119,6 +122,40 @@ mod tests {
         assert!(!b.is_interesting());
         for bound in MemoryBound::ALL {
             assert_eq!(b.memory(bound), 5);
+        }
+    }
+
+    #[test]
+    fn middle_bound_does_not_overflow_near_the_weight_limit() {
+        // Σw fits in u64, but LB + Peak − 1 does not.
+        let heavy = u64::MAX / 3;
+        let t = Tree::from_parents(&[1, heavy, heavy], &[None, Some(0), Some(0)]).unwrap();
+        let b = MemoryBounds::of(&t);
+        assert_eq!((b.lower_bound, b.peak_incore), (2 * heavy, 2 * heavy));
+        assert_eq!(b.memory(MemoryBound::Middle), b.lower_bound);
+
+        // Against (LB + Peak − 1) / 2 clamped to LB, in u128.
+        let reference = |lb: u64, peak: u64| {
+            let mid = (u128::from(lb) + u128::from(peak.saturating_sub(1))) / 2;
+            u64::try_from(mid.max(u128::from(lb))).unwrap()
+        };
+        let near_max = [
+            u64::MAX,
+            u64::MAX - 1,
+            u64::MAX - 2,
+            u64::MAX / 2,
+            u64::MAX / 2 + 1,
+        ];
+        let values: Vec<u64> = (0..12).chain(near_max).collect();
+        for &lower_bound in &values {
+            for &peak_incore in &values {
+                let b = MemoryBounds {
+                    lower_bound,
+                    peak_incore,
+                };
+                let got = b.memory(MemoryBound::Middle);
+                assert_eq!(got, reference(lower_bound, peak_incore), "{b:?}");
+            }
         }
     }
 

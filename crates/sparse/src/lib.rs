@@ -12,8 +12,10 @@
 //! 2. [`generators`] — 2-D/3-D grid Laplacians and random sparse symmetric
 //!    patterns, the standard model problems of sparse direct solvers;
 //! 3. [`ordering`] — fill-reducing orderings: reverse Cuthill–McKee, exact
-//!    minimum degree (run on a quotient graph, in O(nnz(A) + n) memory), and
-//!    nested dissection for grids;
+//!    minimum degree (run on a quotient graph, in O(nnz(A) + n) memory, with
+//!    indistinguishable variables merged into supervariables that share one
+//!    degree recount; the order stays the one the elimination graph gives),
+//!    and nested dissection for grids;
 //! 4. [`etree`] — the elimination tree of a (permuted) pattern, via Liu's
 //!    algorithm;
 //! 5. [`symbolic`] — symbolic factorization: the column counts of the
@@ -38,6 +40,9 @@ pub mod symbolic;
 pub use assembly::{assembly_tree, AssemblyOptions};
 pub use etree::elimination_tree;
 pub use generators::{grid_laplacian_2d, grid_laplacian_3d, random_symmetric};
-pub use ordering::{minimum_degree, nested_dissection_2d, reverse_cuthill_mckee, Ordering};
+pub use ordering::{
+    minimum_degree, minimum_degree_with_stats, nested_dissection_2d, reverse_cuthill_mckee,
+    MinimumDegreeStats, Ordering,
+};
 pub use pattern::SymmetricPattern;
 pub use symbolic::column_counts;
