@@ -129,9 +129,10 @@ impl Cli {
     /// Parses the common command-line options; exits on `--help`.
     ///
     /// # Errors
-    /// Returns a [`CliError`] on an unknown option, a missing value, or a
+    /// Returns a [`CliError`] on an unknown option, a missing value, a
     /// value that does not parse (including `--algos` names the scheduler
-    /// registry rejects). Binaries report it via [`Cli::parse_or_exit`].
+    /// registry rejects), `--trees 0`, `--nodes 0`, or a `--scale` outside
+    /// 1–4. Binaries report it via [`Cli::parse_or_exit`].
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, CliError> {
         let mut cli = Cli::default();
         let mut args = args.into_iter().peekable();
@@ -145,10 +146,25 @@ impl Cli {
                     CliError::new(name, format!("invalid value {raw:?} (expected a number)"))
                 })
             }
+            fn within(name: &str, raw: String, min: usize, max: usize) -> Result<usize, CliError> {
+                let v = number(name, raw)?;
+                if (min..=max).contains(&v) {
+                    return Ok(v);
+                }
+                let expected = if max == usize::MAX {
+                    format!("at least {min}")
+                } else {
+                    format!("{min} to {max}")
+                };
+                Err(CliError::new(
+                    name,
+                    format!("{v} is out of range (expected {expected})"),
+                ))
+            }
             match arg.as_str() {
-                "--trees" => cli.trees = number("--trees", value("--trees")?)?,
-                "--nodes" => cli.nodes = number("--nodes", value("--nodes")?)?,
-                "--scale" => cli.scale = number("--scale", value("--scale")?)?,
+                "--trees" => cli.trees = within("--trees", value("--trees")?, 1, usize::MAX)?,
+                "--nodes" => cli.nodes = within("--nodes", value("--nodes")?, 1, usize::MAX)?,
+                "--scale" => cli.scale = within("--scale", value("--scale")?, 1, 4)?,
                 "--seed" => cli.seed = number("--seed", value("--seed")?)?,
                 "--threads" => cli.threads = number("--threads", value("--threads")?)?,
                 "--algos" => {
@@ -449,6 +465,28 @@ mod tests {
         assert_eq!(err.option, "--trees");
         // The rendered form names the flag, so the user knows what to fix.
         assert!(err.to_string().starts_with("--trees: "), "{err}");
+    }
+
+    #[test]
+    fn cli_rejects_empty_and_out_of_range_sizes() {
+        let rejected = |option: &str, value: &str| {
+            let err = parse(&[option, value]).unwrap_err();
+            assert_eq!(err.option, option);
+            err.message
+        };
+        let at_least_one = "0 is out of range (expected at least 1)";
+        assert_eq!(rejected("--trees", "0"), at_least_one);
+        assert_eq!(rejected("--nodes", "0"), at_least_one);
+        let scales = "is out of range (expected 1 to 4)";
+        assert_eq!(rejected("--scale", "0"), format!("0 {scales}"));
+        assert_eq!(rejected("--scale", "5"), format!("5 {scales}"));
+        // `--quick` sets the sizes but does not excuse a bad one after it.
+        let err = parse(&["--quick", "--nodes", "0"]).unwrap_err();
+        assert_eq!(err.option, "--nodes");
+        // The bounds themselves are accepted.
+        let cli = parse(&["--trees", "1", "--nodes", "1", "--scale", "4"]).unwrap();
+        assert_eq!((cli.trees, cli.nodes, cli.scale), (1, 1, 4));
+        assert_eq!(parse(&["--scale", "1"]).unwrap().scale, 1);
     }
 
     #[test]

@@ -13,6 +13,9 @@ use oocts_tree::{NodeId, Tree};
 /// internal nodes and `n + 1` external leaves; dropping the external leaves
 /// yields a uniformly random binary tree on the `n` internal nodes — the same
 /// distribution the paper samples through half-Catalan numbers.
+///
+/// # Panics
+/// If `n` is 0: a tree needs at least one node.
 pub fn random_binary_tree(n: usize, weights: std::ops::RangeInclusive<u64>, seed: u64) -> Tree {
     assert!(n >= 1, "a tree needs at least one node");
     let mut rng = StdRng::seed_from_u64(seed);

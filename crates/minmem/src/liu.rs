@@ -335,7 +335,7 @@ mod tests {
         // From the leaf up, heavy weights decrease and light ones increase:
         // every heavy/light pair is one segment.
         let n = 40usize;
-        let weights: Vec<u64> = (0..n)
+        let mut weights: Vec<u64> = (0..n)
             .map(|i| {
                 let j = (n - 1 - i) as u64;
                 if j.is_multiple_of(2) {
@@ -359,7 +359,8 @@ mod tests {
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1);
             let node = NodeId::from_index((state >> 33) as usize % n);
-            t.set_weight(node, 1 + (state >> 13) % 200);
+            weights[node.index()] = 1 + (state >> 13) % 200;
+            t = Tree::from_parents(&weights, &parents).unwrap();
             let before = cache.arena.len();
             let mut v = Some(node);
             while let Some(u) = v {

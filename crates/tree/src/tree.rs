@@ -375,16 +375,6 @@ impl Tree {
         self.weights[node.index()]
     }
 
-    /// Mutable access to a node weight (used by generators and tests).
-    /// Keeps the precomputed children-weight of the parent in sync.
-    pub fn set_weight(&mut self, node: NodeId, weight: u64) {
-        let old = self.weights[node.index()];
-        self.weights[node.index()] = weight;
-        if let Some(p) = self.parent(node) {
-            self.children_weight[p.index()] = self.children_weight[p.index()] - old + weight;
-        }
-    }
-
     /// The parent of `node`, or `None` for the root.
     // lint: no_alloc
     #[inline]
@@ -856,20 +846,6 @@ mod tests {
             let direct: u64 = t.children(n).iter().map(|&c| t.weight(c)).sum();
             assert_eq!(t.children_weight(n), direct);
         }
-    }
-
-    #[test]
-    fn set_weight_keeps_children_weight_in_sync() {
-        let mut t = sample();
-        assert_eq!(t.children_weight(NodeId(0)), 5);
-        t.set_weight(NodeId(1), 10);
-        assert_eq!(t.weight(NodeId(1)), 10);
-        assert_eq!(t.children_weight(NodeId(0)), 12);
-        t.set_weight(NodeId(1), 1);
-        assert_eq!(t.children_weight(NodeId(0)), 3);
-        // Re-weighting the root touches no parent.
-        t.set_weight(NodeId(0), 9);
-        assert_eq!(t.weight(NodeId(0)), 9);
     }
 
     #[test]

@@ -237,21 +237,4 @@ proptest! {
         let model = RefModel::new(&weights, &parents);
         assert_matches(&tree, &model);
     }
-
-    /// `set_weight` keeps the cached `children_weight` of the parent in sync
-    /// with a full recomputation from scratch.
-    #[test]
-    fn set_weight_matches_rebuilt_tree(raw in raw_tree(500)) {
-        let (mut weights, parents) = raw;
-        let mut tree = Tree::from_parents(&weights, &parents).unwrap();
-        let mut state = weights.iter().sum::<u64>() | 1;
-        for _ in 0..8 {
-            let i = (next(&mut state) % weights.len() as u64) as usize;
-            let w = 1 + next(&mut state) % 100;
-            weights[i] = w;
-            tree.set_weight(NodeId(u32::try_from(i).unwrap()), w);
-        }
-        let rebuilt = Tree::from_parents(&weights, &parents).unwrap();
-        assert_eq!(tree, rebuilt, "set_weight must leave a canonical arena");
-    }
 }

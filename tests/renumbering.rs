@@ -19,6 +19,8 @@ use oocts_profile::bounds::MemoryBound;
 use oocts_profile::engine::RENUMBER_MIN_NODES;
 use oocts_tree::TreeError;
 
+mod common;
+
 /// Every scheduler of the built-in registry, plus a non-default RecExpand
 /// and two RandomPostOrder seeds.
 fn schedulers() -> Vec<Arc<dyn Scheduler>> {
@@ -40,11 +42,6 @@ fn schedulers() -> Vec<Arc<dyn Scheduler>> {
 /// caterpillars. Narrow weight ranges and constant weights make ties, which
 /// is where a numbering could leak into a result.
 fn shapes() -> Vec<(&'static str, Tree)> {
-    let mut kary = complete_kary(3, 5, 1);
-    for node in kary.node_ids().collect::<Vec<_>>() {
-        let w = 1 + (kary.depth(node) as u64) * 3 + (node.index() as u64 % 5);
-        kary.set_weight(node, w);
-    }
     let chain_weights: Vec<u64> = (0..150u64).map(|i| 1 + (i * 7) % 13).collect();
     vec![
         ("remy-wide-weights", random_binary_tree(3000, 1..=100, 1)),
@@ -58,7 +55,7 @@ fn shapes() -> Vec<(&'static str, Tree)> {
             uniform_attachment_tree(400, 2..=2, 4),
         ),
         ("chain", chain(&chain_weights)),
-        ("complete-3ary", kary),
+        ("complete-3ary", common::depth_weighted_kary(3, 5)),
         ("complete-2ary-constant", complete_kary(2, 7, 4)),
         ("caterpillar", caterpillar(60, 4, 3, 5)),
     ]

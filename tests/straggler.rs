@@ -21,9 +21,11 @@
 
 use std::time::Duration;
 
-use oocts::gen::random::{complete_kary, uniform_attachment_tree};
+use oocts::gen::random::uniform_attachment_tree;
 use oocts::prelude::*;
 use oocts::profile::bounds::MemoryBound;
+
+mod common;
 
 /// The comparable-cost scheduler row (`IMBAL_SCHEDULERS` of the bench
 /// matrix): `RecExpand` is excluded because its superlinear cost on the
@@ -33,13 +35,7 @@ const ROW: &str = "PostOrderMinIO,OptMinMem,PostOrderMinMem";
 
 /// One huge complete binary tree plus `tiny_count` small random trees.
 fn straggler_instances(huge_height: usize, tiny_count: usize) -> Vec<(String, Tree)> {
-    let mut huge = complete_kary(2, huge_height, 1);
-    // Depth-dependent weights, as in the stress suite: heavier towards the
-    // leaves so postorder and optimal traversals genuinely differ.
-    for node in huge.node_ids().collect::<Vec<_>>() {
-        let w = 1 + (huge.depth(node) as u64) * 3 + (node.index() as u64 % 5);
-        huge.set_weight(node, w);
-    }
+    let huge = common::depth_weighted_kary(2, huge_height);
     let mut instances = vec![("straggler-huge".to_string(), huge)];
     for k in 0..tiny_count as u64 {
         instances.push((

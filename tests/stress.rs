@@ -19,6 +19,8 @@ use oocts::core::recexpand::rec_expand_with_limit;
 use oocts::minmem::{opt_min_mem_peak, post_order_min_mem};
 use oocts::prelude::*;
 
+mod common;
+
 /// 2^20 − 1 = 1 048 575 nodes.
 const HEIGHT: usize = 19;
 
@@ -26,14 +28,8 @@ const HEIGHT: usize = 19;
 const CHAIN: usize = 100_000;
 
 fn million_node_tree() -> Tree {
-    let mut tree = oocts::gen::random::complete_kary(2, HEIGHT, 1);
-    // Heavier leaves: weight grows with depth so postorder and optimal
-    // traversals genuinely differ and the merge paths see large segments.
-    for node in tree.node_ids().collect::<Vec<_>>() {
-        let w = 1 + (tree.depth(node) as u64) * 3 + (node.index() as u64 % 5);
-        tree.set_weight(node, w);
-    }
-    tree
+    // Heavier leaves, so the merge paths see large segments.
+    common::depth_weighted_kary(2, HEIGHT)
 }
 
 /// A chain of `CHAIN` nodes with weights cycling through 1..=7, so the
