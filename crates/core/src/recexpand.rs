@@ -96,7 +96,6 @@ pub fn rec_expand_with_limit(
     let mut peaks = PeakCache::new();
     let mut fif_scratch = FifScratch::new();
     let mut order: Vec<NodeId> = Vec::new();
-    let mut positions: Vec<usize> = Vec::new();
 
     // Bottom-up over the *original* tree. When node `r` is processed, the
     // subtrees of its children have already been expanded so that they can be
@@ -127,10 +126,11 @@ pub fn rec_expand_with_limit(
             peaks.schedule_into(expanded.tree(), r, &mut order);
             let schedule = Schedule::new(std::mem::take(&mut order));
             let io = fif_io_with(expanded.tree(), &schedule, memory, &mut fif_scratch)?;
-            // Node with positive I/O whose parent is scheduled the latest.
-            schedule.positions_into(expanded.tree(), &mut positions);
             order = schedule.into_order();
-            let Some(victim) = pick_victim(expanded.tree(), r, &io.tau, &positions) else {
+            // Node with positive I/O whose parent is scheduled the latest, on
+            // the positions the replay just filled.
+            let positions = fif_scratch.positions();
+            let Some(victim) = pick_victim(expanded.tree(), r, &io.tau, positions) else {
                 // Unreachable: peak exceeds M, so the FiF policy must have
                 // performed some I/O; stop expanding rather than panic.
                 debug_assert!(false, "peak exceeds M but FiF reported no I/O");

@@ -141,7 +141,9 @@ impl SolveReport {
     /// check reports crossing a trust boundary in release builds too.
     pub fn validate(&self, tree: &Tree) -> Result<(), TreeError> {
         tree.validate()?;
-        self.schedule.validate(tree)?;
+        // `peak_memory` validates the schedule first, so its errors still
+        // come before the node count's.
+        let peak = peak_memory(tree, &self.schedule)?;
         if self.schedule.len() != tree.len() {
             return Err(TreeError::ReportMismatch {
                 field: "scheduled node count",
@@ -149,7 +151,6 @@ impl SolveReport {
                 actual: tree.len() as u64,
             });
         }
-        let peak = peak_memory(tree, &self.schedule)?;
         if peak != self.peak_memory {
             return Err(TreeError::ReportMismatch {
                 field: "in-core peak memory",
@@ -440,10 +441,42 @@ mod tests {
         let t = b.build().unwrap();
         let mut report = OptMinMem.solve(&t, 5).unwrap();
         report.validate(&t).unwrap();
-        let mut order = report.schedule.into_order();
+        let full = report.schedule.into_order();
+        let mut order = full.clone();
         order[0] = NodeId(7);
         report.schedule = Schedule::new(order);
         assert_eq!(report.validate(&t), Err(TreeError::UnknownNode(NodeId(7))));
+        // A schedule that omits a node: without the root it is a valid
+        // partial schedule and fails on the node count, before its (smaller)
+        // peak is compared; without a leaf it is invalid, and the schedule
+        // error comes first.
+        report.schedule = Schedule::new(full[..2].to_vec());
+        assert_eq!(
+            report.validate(&t),
+            Err(TreeError::ReportMismatch {
+                field: "scheduled node count",
+                reported: 2,
+                actual: 3,
+            })
+        );
+        report.schedule = Schedule::new(full[1..].to_vec());
+        assert_eq!(
+            report.validate(&t),
+            Err(TreeError::MissingChild {
+                node: root,
+                child: full[0],
+            })
+        );
+        // The full schedule with a wrong peak fails on the peak.
+        report.schedule = Schedule::new(full);
+        report.peak_memory += 1;
+        assert!(matches!(
+            report.validate(&t),
+            Err(TreeError::ReportMismatch {
+                field: "in-core peak memory",
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -68,9 +68,8 @@ impl Schedule {
     }
 
     /// Buffer-reusing variant of [`Schedule::positions`]: fills `pos` in
-    /// place. Replay loops (RecExpand, the FiF scratch path) call this with
-    /// a buffer that already has capacity, so the steady state is
-    /// allocation-free.
+    /// place. The FiF scratch path calls this with a buffer that already
+    /// has capacity, so the steady state is allocation-free.
     // lint: no_alloc
     pub fn positions_into(&self, tree: &Tree, pos: &mut Vec<usize>) {
         pos.clear();
@@ -86,23 +85,33 @@ impl Schedule {
     /// `tree`: no duplicates, children scheduled before their parents, and for
     /// every scheduled non-leaf node all its children are scheduled.
     pub fn validate(&self, tree: &Tree) -> Result<(), TreeError> {
-        let mut seen = vec![false; tree.len()];
-        for &node in &self.order {
-            if node.index() >= tree.len() {
-                return Err(TreeError::UnknownNode(node));
+        self.validate_into(tree, &mut Vec::new())
+    }
+
+    /// [`Schedule::validate`] that leaves the schedule's positions in `pos`:
+    /// on success `pos` holds exactly what [`Schedule::positions_into`]
+    /// writes, so a caller that needs both (the FiF replay) fills one array
+    /// once. The errors, and their order, are [`Schedule::validate`]'s: the
+    /// first unknown or repeated id in schedule order, then the first
+    /// missing or late child in schedule order.
+    // lint: no_alloc
+    pub fn validate_into(&self, tree: &Tree, pos: &mut Vec<usize>) -> Result<(), TreeError> {
+        pos.clear();
+        pos.resize(tree.len(), usize::MAX);
+        for (step, &node) in self.order.iter().enumerate() {
+            match pos.get_mut(node.index()) {
+                None => return Err(TreeError::UnknownNode(node)),
+                Some(slot) if *slot != usize::MAX => return Err(TreeError::DuplicateNode(node)),
+                Some(slot) => *slot = step,
             }
-            if seen[node.index()] {
-                return Err(TreeError::DuplicateNode(node));
-            }
-            seen[node.index()] = true;
         }
-        let pos = self.positions(tree);
-        for &node in &self.order {
+        for (step, &node) in self.order.iter().enumerate() {
             for &child in tree.children(node) {
-                if !seen[child.index()] {
+                let at = pos[child.index()];
+                if at == usize::MAX {
                     return Err(TreeError::MissingChild { node, child });
                 }
-                if pos[child.index()] >= pos[node.index()] {
+                if at >= step {
                     return Err(TreeError::NotTopological(node));
                 }
             }
@@ -114,10 +123,10 @@ impl Schedule {
     /// (paper, Section 3.1): for every node `i`, the nodes of the subtree
     /// rooted at `i` occupy a contiguous range of steps.
     pub fn is_postorder(&self, tree: &Tree) -> bool {
-        if self.validate(tree).is_err() {
+        let mut pos = Vec::new();
+        if self.validate_into(tree, &mut pos).is_err() {
             return false;
         }
-        let pos = self.positions(tree);
         // Compute for every scheduled node the minimum position in its
         // subtree; the traversal is a postorder iff for every node the span
         // [min position, own position] has exactly subtree-size many steps.

@@ -20,6 +20,18 @@
 //! smaller id. A node enters when it is produced and leaves when its parent
 //! starts (before that step evicts anything) or when it is fully evicted,
 //! so a step costs O(log a) amortized for an active set of `a` nodes.
+//!
+//! The replay starts at the *first overflow*: the first step whose in-core
+//! need, `(resident − Σ children) + w̄_i` with every output still resident,
+//! exceeds `M`. FiF's resident data never exceeds the in-core data, so no
+//! earlier step evicts anything, and at that step every output still waiting
+//! for its parent is fully resident. A light scan over the in-core
+//! accounting finds the step; the heap is seeded with exactly those outputs
+//! and FiF runs from there to the end. Heap keys are unique, so the seeding
+//! order changes no victim: `τ`, the I/O volume and the peak are those of
+//! the replay from step 0. Most replays of subtree traversals inside
+//! RecExpand and of TREES cells spend most of their steps before the first
+//! overflow (EXPERIMENTS.md).
 
 use std::cmp::Reverse;
 
@@ -118,7 +130,9 @@ impl IoResult {
 /// callers that replay many schedules (the RecExpand expansion loop,
 /// benchmarks, the golden corpus) allocate one `FifScratch` and amortize
 /// every buffer across runs. Returned `τ` vectors can be handed back via
-/// [`FifScratch::recycle`] so even the output buffer rotates through a pool.
+/// [`FifScratch::recycle`] so even the output buffer rotates through a pool,
+/// and the step of every node in the last replayed schedule stays readable
+/// through [`FifScratch::positions`].
 #[derive(Debug, Default)]
 pub struct FifScratch {
     in_mem: Vec<u64>,
@@ -139,6 +153,14 @@ impl FifScratch {
         tau.clear();
         self.tau_pool.push(tau);
     }
+
+    /// The step of each node in the schedule [`fif_io_with`] last replayed,
+    /// indexed by node id, with `usize::MAX` for unscheduled nodes: what
+    /// [`Schedule::positions`] returns for that schedule. Empty before the
+    /// first replay.
+    pub fn positions(&self) -> &[usize] {
+        &self.positions
+    }
 }
 
 /// Runs `schedule` on `tree` under memory bound `memory`, performing I/O with
@@ -147,17 +169,22 @@ impl FifScratch {
 ///
 /// By Theorem 1 of the paper this is an I/O-optimal `τ` for the given
 /// schedule, so the returned volume is "the" I/O cost of the schedule.
+/// Validation fills the replay's own positions array, and the replay starts
+/// at the first step that overflows `memory`: no earlier step can evict (see
+/// the module docs), so the result is the replay's from step 0.
 ///
 /// Fails if the schedule is invalid or if some node needs more than `memory`
-/// units on its own (`w̄_i > M`), in which case no traversal exists.
+/// units on its own (`w̄_i > M`), in which case no traversal exists; an
+/// invalid schedule is reported first.
 pub fn fif_io(tree: &Tree, schedule: &Schedule, memory: u64) -> Result<IoResult, TreeError> {
-    schedule.validate(tree)?;
     let mut scratch = FifScratch::new();
-    fif_io_with(tree, schedule, memory, &mut scratch)
+    schedule.validate_into(tree, &mut scratch.positions)?;
+    replay(tree, schedule, memory, &mut scratch)
 }
 
 /// Scratch-reusing variant of [`fif_io`]: the inner loop of the simulator,
-/// allocation-free once `scratch` has warmed up.
+/// allocation-free once `scratch` has warmed up. Like [`fif_io`], it
+/// replays from the first overflow on.
 ///
 /// The caller must pass a schedule that is valid for `tree` (checked only as
 /// a debug assertion here); [`fif_io`] is the validating wrapper.
@@ -173,24 +200,74 @@ pub fn fif_io_with(
         "fif_io_with needs a valid schedule"
     );
     schedule.positions_into(tree, &mut scratch.positions);
-    let positions = &scratch.positions;
+    // lint: allow(L006, replay allocates only in its debug-only invariant checks)
+    replay(tree, schedule, memory, scratch)
+}
 
-    // in_mem[i] = units of node i's output currently in main memory
-    // (meaningful only while i is active).
-    scratch.in_mem.clear();
-    scratch.in_mem.resize(tree.len(), 0);
-    let in_mem = &mut scratch.in_mem;
+/// The FiF replay of a valid `schedule` whose positions `scratch` already
+/// holds.
+// lint: no_alloc
+fn replay(
+    tree: &Tree,
+    schedule: &Schedule,
+    memory: u64,
+    scratch: &mut FifScratch,
+) -> Result<IoResult, TreeError> {
+    let order = schedule.order();
+    let positions = &scratch.positions;
     let mut tau = scratch.tau_pool.pop().unwrap_or_default();
     tau.resize(tree.len(), 0);
     let mut total_io = 0u64;
-    let mut resident = 0u64; // Σ in_mem over active nodes
     let mut peak_in_core = 0u64;
     let mut in_core_resident = 0u64; // resident if no I/O were ever done
 
-    scratch.heap.reset(tree.len());
-    let heap = &mut scratch.heap;
+    // The first overflow: the first step whose in-core need,
+    // `in_core_resident − cw + w̄`, exceeds M (`w̄ > M` included). Before it
+    // FiF evicts nothing, so only the in-core accounting runs.
+    let mut first = order.len();
+    for (step, &node) in order.iter().enumerate() {
+        let w = tree.weight(node);
+        let cw = tree.children_weight(node);
+        let peak_during = in_core_resident + w.saturating_sub(cw);
+        if peak_during > memory {
+            first = step;
+            break;
+        }
+        peak_in_core = peak_in_core.max(peak_during);
+        in_core_resident = in_core_resident - cw + w;
+    }
 
-    for (step, node) in schedule.iter().enumerate() {
+    // in_mem[i] = units of node i's output currently in main memory
+    // (meaningful only while i is active).
+    let in_mem = &mut scratch.in_mem;
+    let heap = &mut scratch.heap;
+    let mut resident = 0u64; // Σ in_mem over active nodes
+    if first < order.len() {
+        in_mem.clear();
+        in_mem.resize(tree.len(), 0);
+        heap.reset(tree.len());
+        // At the first overflow, the outputs still waiting for their parent
+        // are active and fully resident: seed them as FiF leaves them.
+        for &node in &order[..first] {
+            let parent_pos = parent_position(tree, positions, node);
+            if parent_pos < first {
+                continue;
+            }
+            let w = tree.weight(node);
+            in_mem[node.index()] = w;
+            resident = resident.saturating_add(w);
+            if w > 0 {
+                // lint: allow(L003, push into the scratch heap: capacity amortized across runs)
+                heap.push(parent_pos, node);
+            }
+        }
+        debug_assert_eq!(
+            resident, in_core_resident,
+            "the seeded outputs must be the in-core resident data"
+        );
+    }
+
+    for (step, &node) in order.iter().enumerate().skip(first) {
         let w = tree.weight(node);
         let cw = tree.children_weight(node);
         let wbar = w.max(cw);

@@ -3,22 +3,59 @@
 //!
 //! The reference keeps every produced node in a `BinaryHeap` and discards
 //! entries that went stale (consumed, fully evicted, or a child of the
-//! running node) when they surface. The library keeps an indexed heap of
-//! the evictable nodes only. Both must pick the same victim at every step,
-//! so `τ`, the total I/O and the in-core peak must agree on every schedule:
-//! random topological orders (not only postorders) of whole trees and of
-//! subtrees, at memory bounds from the largest `w̄_i` to the peak.
+//! running node) when they surface. It replays every step from the first
+//! and validates with the two-array check `Schedule::validate` used before
+//! it filled the replay's positions. The library keeps an indexed heap of
+//! the evictable nodes only and starts at the first overflow. Both must
+//! pick the same victim at every step, so `τ`, the total I/O and the
+//! in-core peak must agree on every schedule: random topological orders
+//! (not only postorders) of whole trees, of subtrees and of forests of
+//! subtrees, at memory bounds from the largest `w̄_i` to the peak and at
+//! bounds that put the first overflow at each step where one can start.
+//! Invalid schedules must fail with the reference's error in every
+//! simulator.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use oocts_tree::{fif_io, fif_io_with, FifScratch, IoResult, NodeId, Schedule, Tree, TreeError};
+use oocts_tree::{
+    fif_io, fif_io_with, memory_profile, peak_memory, FifScratch, IoResult, NodeId, Schedule, Tree,
+    TreeBuilder, TreeError,
+};
 use proptest::test_runner::TestRng;
+
+/// `Schedule::validate` as written before it filled the replay's positions:
+/// a `seen` array for unknown and repeated ids, then a second positions
+/// array for the children check.
+fn reference_validate(tree: &Tree, schedule: &Schedule) -> Result<(), TreeError> {
+    let mut seen = vec![false; tree.len()];
+    for &node in schedule.order() {
+        if node.index() >= tree.len() {
+            return Err(TreeError::UnknownNode(node));
+        }
+        if seen[node.index()] {
+            return Err(TreeError::DuplicateNode(node));
+        }
+        seen[node.index()] = true;
+    }
+    let pos = schedule.positions(tree);
+    for &node in schedule.order() {
+        for &child in tree.children(node) {
+            if !seen[child.index()] {
+                return Err(TreeError::MissingChild { node, child });
+            }
+            if pos[child.index()] >= pos[node.index()] {
+                return Err(TreeError::NotTopological(node));
+            }
+        }
+    }
+    Ok(())
+}
 
 /// The FiF replay as written before the indexed heap: a lazily invalidated
 /// max-heap of `(parent position, Reverse(id))` holding every produced node.
 fn reference_fif(tree: &Tree, schedule: &Schedule, memory: u64) -> Result<IoResult, TreeError> {
-    schedule.validate(tree)?;
+    reference_validate(tree, schedule)?;
     let positions = schedule.positions(tree);
     let parent_position = |node: NodeId| {
         tree.parent(node)
@@ -130,26 +167,26 @@ fn random_topological_order(rng: &mut TestRng, tree: &Tree, root: NodeId) -> Sch
 /// Replays `schedule` with both simulators at memory bounds from the largest
 /// `w̄_i` of the scheduled nodes up to the schedule's in-core peak (every
 /// bound when there are at most 64, else 64 evenly spread ones including
-/// both ends), through one shared scratch, and returns the number of
-/// replays.
+/// both ends), at the bounds that put the first overflow at each step where
+/// one can start, and with no bound at all, through one shared scratch, and
+/// returns the number of replays.
 fn compare_all_bounds(tree: &Tree, schedule: &Schedule, scratch: &mut FifScratch) -> usize {
-    let lb = schedule
-        .iter()
-        .map(|v| tree.execution_weight(v))
-        .max()
-        .unwrap_or(0);
+    let lb = largest_wbar(tree, schedule);
     let peak = reference_fif(tree, schedule, u64::MAX)
         .unwrap()
         .peak_in_core;
-    let mut replays = 0;
     let span = peak.saturating_sub(lb);
     let bounds = span.min(63);
-    for i in 0..=bounds {
-        let memory = lb + (span * i).checked_div(bounds).unwrap_or(0);
-        let want = reference_fif(tree, schedule, memory).unwrap();
-        let got = fif_io_with(tree, schedule, memory, scratch).unwrap();
-        assert_eq!(got, want, "M = {memory}, schedule {:?}", schedule.order());
-        scratch.recycle(got.tau);
+    let spread = (0..=bounds).map(|i| lb + (span * i).checked_div(bounds).unwrap_or(0));
+    let windows = first_overflow_bounds(tree, schedule);
+    let mut replays = 0;
+    for memory in spread.chain(windows).chain([u64::MAX]) {
+        let io = replay_all(tree, schedule, memory, scratch).unwrap();
+        if memory >= peak {
+            // No overflow: nothing is evicted and the peak is exact.
+            assert_eq!((io.total_io, io.peak_in_core), (0, peak));
+        }
+        scratch.recycle(io.tau);
         replays += 1;
     }
     // Below the largest w̄_i both refuse the schedule with the same node.
@@ -162,6 +199,11 @@ fn compare_all_bounds(tree: &Tree, schedule: &Schedule, scratch: &mut FifScratch
     replays
 }
 
+/// Random topological orders of the whole tree, of the root's child
+/// subtrees (several outputs then wait for the unscheduled root, in the
+/// replay's prefix too) and of a random subtree (its root's parent lies
+/// outside the schedule, as in RecExpand's replays), plus postorders;
+/// weights include zeros.
 #[test]
 fn fif_matches_the_lazy_heap_on_random_topological_orders() {
     let mut rng = TestRng::from_seed(0xf1f0);
@@ -171,12 +213,15 @@ fn fif_matches_the_lazy_heap_on_random_topological_orders() {
         let n = 1 + rng.below(40) as usize;
         let weights = [(1, 2), (1, 3), (0, 2), (1, 10), (1, 1000)][(case % 5) as usize];
         let tree = random_tree(&mut rng, n, case / 5 % 4, weights);
-        // The whole tree, then a random subtree (its root's parent lies
-        // outside the schedule, as in RecExpand's replays).
         let sub = NodeId::from_index(rng.below(n as u64) as usize);
         for root in [tree.root(), sub] {
             let schedule = random_topological_order(&mut rng, &tree, root);
             replays += compare_all_bounds(&tree, &schedule, &mut scratch);
+            if root == tree.root() && n > 1 {
+                let mut forest = schedule.into_order();
+                forest.pop();
+                replays += compare_all_bounds(&tree, &Schedule::new(forest), &mut scratch);
+            }
         }
         let postorder = Schedule::postorder(&tree);
         replays += compare_all_bounds(&tree, &postorder, &mut scratch);
@@ -205,6 +250,212 @@ fn fif_matches_the_lazy_heap_on_wide_trees_under_pressure() {
             let got = fif_io_with(&tree, &schedule, memory, &mut scratch).unwrap();
             assert_eq!(got, want, "M = {memory}");
             scratch.recycle(got.tau);
+        }
+    }
+}
+
+/// The largest `w̄_i` of the scheduled nodes: the smallest feasible bound.
+fn largest_wbar(tree: &Tree, schedule: &Schedule) -> u64 {
+    schedule
+        .iter()
+        .map(|v| tree.execution_weight(v))
+        .max()
+        .unwrap_or(0)
+}
+
+/// The feasible bounds that put the schedule's first overflow at each step
+/// where one can start (a step whose in-core need exceeds every earlier one
+/// and the largest `w̄_i`): both ends of `[max(largest w̄, needs before the
+/// step), need at the step − 1]`.
+fn first_overflow_bounds(tree: &Tree, schedule: &Schedule) -> Vec<u64> {
+    let mut before = largest_wbar(tree, schedule);
+    let mut bounds = Vec::new();
+    for s in memory_profile(tree, schedule).unwrap().steps() {
+        if s.peak_during > before {
+            bounds.extend([before, s.peak_during - 1]);
+        }
+        before = before.max(s.peak_during);
+    }
+    bounds
+}
+
+/// Replays `schedule` at `memory` through `fif_io`, `fif_io_with` and the
+/// reference, and returns the common result.
+fn replay_all(
+    tree: &Tree,
+    schedule: &Schedule,
+    memory: u64,
+    scratch: &mut FifScratch,
+) -> Result<IoResult, TreeError> {
+    let want = reference_fif(tree, schedule, memory);
+    let order = schedule.order();
+    assert_eq!(
+        fif_io(tree, schedule, memory),
+        want,
+        "fif_io, M = {memory}, {order:?}"
+    );
+    let got = fif_io_with(tree, schedule, memory, scratch);
+    assert_eq!(got, want, "fif_io_with, M = {memory}, {order:?}");
+    assert_eq!(scratch.positions(), schedule.positions(tree));
+    want
+}
+
+/// Hand-built window edges, each with its FiF result spelled out.
+#[test]
+fn fif_window_edges_on_small_trees() {
+    let mut scratch = FifScratch::new();
+
+    // r(1) <- a(3), r <- b(5) <- c(4); the root is left out, so a waits for
+    // an unscheduled parent. Needs: a 3, c 7, b 8.
+    let mut bld = TreeBuilder::new();
+    let r = bld.add_root(1);
+    let a = bld.add_child(r, 3);
+    let b = bld.add_child(r, 5);
+    let c = bld.add_child(b, 4);
+    let t = bld.build().unwrap();
+    let s = Schedule::new(vec![a, c, b]);
+    // The first overflow is at the last step: a (furthest, parent never
+    // scheduled) loses one unit; c is b's input and stays.
+    let io = replay_all(&t, &s, 7, &mut scratch).unwrap();
+    assert_eq!((io.total_io, io.tau[a.index()], io.peak_in_core), (1, 1, 8));
+    // No overflow at all.
+    let io = replay_all(&t, &s, 8, &mut scratch).unwrap();
+    assert_eq!((io.total_io, io.peak_in_core), (0, 8));
+    // At step 0 the need is the first leaf's own weight, so an overflow
+    // there is a refusal, reported for that leaf.
+    assert_eq!(
+        replay_all(&t, &s, 2, &mut scratch),
+        Err(TreeError::InsufficientMemory {
+            node: a,
+            required: 3,
+            available: 2,
+        })
+    );
+
+    // r(1) <- z(0), r <- a(3), r <- p(2) <- q(4): z's empty output waits in
+    // the prefix with a. Needs: z 0, a 3, q 7, p 7, r 5.
+    let mut bld = TreeBuilder::new();
+    let r = bld.add_root(1);
+    let z = bld.add_child(r, 0);
+    let a = bld.add_child(r, 3);
+    let p = bld.add_child(r, 2);
+    let q = bld.add_child(p, 4);
+    let t = bld.build().unwrap();
+    let s = Schedule::new(vec![z, a, q, p, r]);
+    let io = replay_all(&t, &s, 6, &mut scratch).unwrap();
+    assert_eq!((io.total_io, io.tau[a.index()], io.peak_in_core), (1, 1, 7));
+
+    // A subtree schedule, as RecExpand replays: s(2) <- x(2), s <- y(1) <-
+    // y1(4) under an unscheduled root. Needs: x 2, y1 6, y 6, s 3.
+    let mut bld = TreeBuilder::new();
+    let r = bld.add_root(1);
+    let sub = bld.add_child(r, 2);
+    let x = bld.add_child(sub, 2);
+    let y = bld.add_child(sub, 1);
+    let y1 = bld.add_child(y, 4);
+    let t = bld.build().unwrap();
+    let s = Schedule::new(vec![x, y1, y, sub]);
+    let io = replay_all(&t, &s, 5, &mut scratch).unwrap();
+    assert_eq!((io.total_io, io.tau[x.index()], io.peak_in_core), (1, 1, 6));
+}
+
+/// Invalid schedules fail with exactly the reference's error in
+/// `Schedule::validate`, `peak_memory` and `fif_io`, whatever the bound:
+/// also when the bound is below some node's `w̄_i` (at `M = 0`, below the
+/// first one's), where the validation error still wins. One or two
+/// mutations per schedule: an unknown id, a repeated id, a removed node
+/// (its parent misses a child) or a node moved right after its parent.
+#[test]
+fn invalid_schedules_fail_with_the_reference_error_everywhere() {
+    let mut rng = TestRng::from_seed(0x5eed);
+    // Unknown, duplicate, missing child, not topological.
+    let mut kinds = [0usize; 4];
+    for case in 0..800u64 {
+        let n = 2 + rng.below(30) as usize;
+        let tree = random_tree(&mut rng, n, case % 4, (1, 10));
+        let root = if case % 3 == 0 {
+            NodeId::from_index(rng.below(n as u64) as usize)
+        } else {
+            tree.root()
+        };
+        let mut order = random_topological_order(&mut rng, &tree, root).into_order();
+        for _ in 0..1 + rng.below(2) {
+            mutate(&mut rng, &tree, &mut order);
+        }
+        let schedule = Schedule::new(order);
+        let want = reference_validate(&tree, &schedule);
+        assert_eq!(schedule.validate(&tree), want, "{:?}", schedule.order());
+        let Err(error) = want else { continue };
+        kinds[match error {
+            TreeError::UnknownNode(_) => 0,
+            TreeError::DuplicateNode(_) => 1,
+            TreeError::MissingChild { .. } => 2,
+            _ => 3,
+        }] += 1;
+        let error = Some(error);
+        assert_eq!(peak_memory(&tree, &schedule).err(), error);
+        let lb = tree.min_feasible_memory();
+        for memory in [0, lb - 1, lb, u64::MAX] {
+            assert_eq!(
+                fif_io(&tree, &schedule, memory).err(),
+                error,
+                "M = {memory}"
+            );
+        }
+    }
+    assert!(kinds.iter().all(|&k| k > 30), "error kinds seen: {kinds:?}");
+}
+
+/// One random mutation of a topological order: an id the tree does not
+/// have, a repeated id, a removed non-last node, or a non-last node moved
+/// right after its parent.
+fn mutate(rng: &mut TestRng, tree: &Tree, order: &mut Vec<NodeId>) {
+    let len = order.len();
+    let i = rng.below(len as u64) as usize;
+    match rng.below(4) {
+        0 => order[i] = NodeId::from_index(tree.len() + rng.below(3) as usize),
+        1 if len > 1 => order[i] = order[(i + 1 + rng.below(len as u64 - 1) as usize) % len],
+        1 => order.push(order[0]),
+        _ if len < 2 || i + 1 == len => {}
+        2 => {
+            order.remove(i);
+        }
+        _ if order[i].index() >= tree.len() => {}
+        _ => {
+            let v = order[i];
+            let parent = tree.parent(v);
+            if let Some(p) = order.iter().position(|&u| Some(u) == parent) {
+                if p > i {
+                    order.remove(i);
+                    order.insert(p, v);
+                }
+            }
+        }
+    }
+}
+
+/// About 20 trees of 5k–50k nodes in every `random_tree` shape, as
+/// postorders and random topological orders, at 8 bounds from the largest
+/// `w̄_i` to the peak: long replays whose windows start deep into the
+/// schedule.
+#[test]
+#[ignore = "large trees: run in release with --ignored (CI does)"]
+fn fif_matches_the_lazy_heap_on_large_trees() {
+    let mut rng = TestRng::from_seed(0x1a46e);
+    let mut scratch = FifScratch::new();
+    for case in 0..20u64 {
+        let n = 5_000 + rng.below(45_001) as usize;
+        let weights = [(1, 10), (0, 3), (1, 1000), (1, 2)][(case / 4 % 4) as usize];
+        let tree = random_tree(&mut rng, n, case % 4, weights);
+        for schedule in [
+            Schedule::postorder(&tree),
+            random_topological_order(&mut rng, &tree, tree.root()),
+        ] {
+            let lb = largest_wbar(&tree, &schedule);
+            let span = memory_profile(&tree, &schedule).unwrap().peak() - lb;
+            for i in 0..8 {
+                replay_all(&tree, &schedule, lb + span * i / 7, &mut scratch).unwrap();
+            }
         }
     }
 }
