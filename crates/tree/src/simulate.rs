@@ -14,26 +14,52 @@
 //! which keeps comparisons between heuristics fair and matches the paper's
 //! methodology.
 //!
-//! FiF's candidates sit in an indexed max-heap of the *evictable* nodes —
-//! produced, not yet consumed, not an input of the running node, with some
-//! units still in memory — keyed by the step of their parent, then the
-//! smaller id. A node enters when it is produced and leaves when its parent
-//! starts (before that step evicts anything) or when it is fully evicted,
-//! so a step costs O(log a) amortized for an active set of `a` nodes.
+//! FiF evicts from the resident output whose consumer (its parent) runs
+//! furthest in the future, the smaller id first between outputs of one
+//! consumer step, and an output whose consumer is outside the schedule
+//! counts as consumed after the end. The choice depends on an output's
+//! consumer step and id only, so the replay runs FiF on *buckets* keyed by
+//! that step, in two passes:
+//!
+//! 1. `alive[s]` holds the resident units of the outputs consumed at step
+//!    `s`, with index `len` for the outputs whose consumer is unscheduled.
+//!    A 64-ary bitset over the buckets gives the latest non-empty one. Step
+//!    `s` reads and empties its own bucket (its children's resident units)
+//!    in O(1), leaving its bit set (every live bucket is later, so it never
+//!    wins), drains the latest buckets until the node fits, then adds its
+//!    output to its consumer's bucket. Every drain is logged as
+//!    `(bucket, step, units)`.
+//! 2. The split charges each drained bucket's units to its members as the
+//!    sibling tie-break does: smallest id first, among the members produced
+//!    *before* the drain's step, each until its output is fully evicted.
+//!    One min-id heap per drained bucket admits the members in production
+//!    order.
+//!
+//! This is exact. FiF takes from a later bucket before an earlier one, so
+//! the first pass drains the units a per-node replay would from each
+//! bucket at each step. The units a bucket holds at a drain are those of
+//! its members produced before that step, less what its earlier drains
+//! took, and the split hands them out as the tie-break does. It is also
+//! linear in the schedule up to logarithms. A full drain empties a bucket,
+//! which only a production refills, and each step makes at most one
+//! partial drain, so `L` steps make at most `2L` drains (grouped by bucket
+//! with one sort). The split costs O(Σ d log d) over the drained buckets
+//! only, for their member counts `d`, and never rescans a bucket's members
+//! per drain.
 //!
 //! The replay starts at the *first overflow*: the first step whose in-core
 //! need, `(resident − Σ children) + w̄_i` with every output still resident,
 //! exceeds `M`. FiF's resident data never exceeds the in-core data, so no
 //! earlier step evicts anything, and at that step every output still waiting
 //! for its parent is fully resident. A light scan over the in-core
-//! accounting finds the step; the heap is seeded with exactly those outputs
-//! and FiF runs from there to the end. Heap keys are unique, so the seeding
-//! order changes no victim: `τ`, the I/O volume and the peak are those of
-//! the replay from step 0. Most replays of subtree traversals inside
-//! RecExpand and of TREES cells spend most of their steps before the first
-//! overflow (EXPERIMENTS.md).
+//! accounting finds the step; the buckets are seeded with exactly those
+//! outputs and FiF runs from there to the end: `τ`, the I/O volume and the
+//! peak are those of the replay from step 0. Most replays of subtree
+//! traversals inside RecExpand and of TREES cells spend most of their steps
+//! before the first overflow (EXPERIMENTS.md).
 
 use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::error::TreeError;
 use crate::schedule::Schedule;
@@ -126,19 +152,39 @@ impl IoResult {
 
 /// Reusable buffers for [`fif_io_with`].
 ///
-/// The FiF simulator needs two working arrays plus an eviction heap;
-/// callers that replay many schedules (the RecExpand expansion loop,
-/// benchmarks, the golden corpus) allocate one `FifScratch` and amortize
-/// every buffer across runs. Returned `τ` vectors can be handed back via
+/// The FiF simulator needs the schedule's positions, one bucket per step
+/// with a bitset over them, a log of the drained buckets and a heap to
+/// split them (see the module docs); callers that replay many schedules
+/// (the RecExpand expansion loop, benchmarks, the golden corpus) allocate
+/// one `FifScratch` and amortize every buffer across runs. The buckets are
+/// indexed by step, so a replay of a subtree's traversal touches only as
+/// many as it has steps. Returned `τ` vectors can be handed back via
 /// [`FifScratch::recycle`] so even the output buffer rotates through a pool,
 /// and the step of every node in the last replayed schedule stays readable
 /// through [`FifScratch::positions`].
 #[derive(Debug, Default)]
 pub struct FifScratch {
-    in_mem: Vec<u64>,
     positions: Vec<usize>,
-    heap: EvictionHeap,
+    /// `alive[s]`: resident units of the outputs consumed at step `s`;
+    /// `alive[len]` those of the outputs whose consumer is unscheduled.
+    alive: Vec<u64>,
+    /// The non-empty buckets of `alive`, and consumed ones.
+    live: StepSet,
+    /// Every drain of the replay, in step order until the split sorts it.
+    drains: Vec<Drain>,
+    /// The members of the bucket being split, `(step produced, id)`.
+    members: Vec<(usize, u32)>,
+    /// The admitted members of that bucket, smallest id on top.
+    split: BinaryHeap<Reverse<u32>>,
     tau_pool: Vec<Vec<u64>>,
+}
+
+/// `units` evicted from bucket `bucket` at step `step`.
+#[derive(Debug, Clone, Copy)]
+struct Drain {
+    bucket: usize,
+    step: usize,
+    units: u64,
 }
 
 impl FifScratch {
@@ -214,6 +260,7 @@ fn replay(
     scratch: &mut FifScratch,
 ) -> Result<IoResult, TreeError> {
     let order = schedule.order();
+    let len = order.len();
     let positions = &scratch.positions;
     let mut tau = scratch.tau_pool.pop().unwrap_or_default();
     tau.resize(tree.len(), 0);
@@ -224,7 +271,7 @@ fn replay(
     // The first overflow: the first step whose in-core need,
     // `in_core_resident − cw + w̄`, exceeds M (`w̄ > M` included). Before it
     // FiF evicts nothing, so only the in-core accounting runs.
-    let mut first = order.len();
+    let mut first = len;
     for (step, &node) in order.iter().enumerate() {
         let w = tree.weight(node);
         let cw = tree.children_weight(node);
@@ -237,28 +284,26 @@ fn replay(
         in_core_resident = in_core_resident - cw + w;
     }
 
-    // in_mem[i] = units of node i's output currently in main memory
-    // (meaningful only while i is active).
-    let in_mem = &mut scratch.in_mem;
-    let heap = &mut scratch.heap;
-    let mut resident = 0u64; // Σ in_mem over active nodes
-    if first < order.len() {
-        in_mem.clear();
-        in_mem.resize(tree.len(), 0);
-        heap.reset(tree.len());
+    // The bucket of an output: its consumer's step, or `len` if the
+    // consumer is outside the schedule.
+    let bucket = |node| parent_position(tree, positions, node).min(len);
+    let alive = &mut scratch.alive;
+    let live = &mut scratch.live;
+    let drains = &mut scratch.drains;
+    drains.clear();
+    let mut resident = 0u64; // Σ alive
+    if first < len {
+        alive.clear();
+        alive.resize(len + 1, 0);
+        live.reset(len + 1);
         // At the first overflow, the outputs still waiting for their parent
         // are active and fully resident: seed them as FiF leaves them.
         for &node in &order[..first] {
-            let parent_pos = parent_position(tree, positions, node);
-            if parent_pos < first {
-                continue;
-            }
-            let w = tree.weight(node);
-            in_mem[node.index()] = w;
-            resident = resident.saturating_add(w);
-            if w > 0 {
-                // lint: allow(L003, push into the scratch heap: capacity amortized across runs)
-                heap.push(parent_pos, node);
+            let b = bucket(node);
+            if b >= first {
+                let w = tree.weight(node);
+                resident = resident.saturating_add(w);
+                fill(alive, live, b, w);
             }
         }
         debug_assert_eq!(
@@ -283,51 +328,62 @@ fn replay(
         peak_in_core = peak_in_core.max(in_core_resident + w.saturating_sub(cw));
         in_core_resident = in_core_resident - cw + w;
 
-        // The children are read back and consumed by this step, so they stop
-        // being eviction candidates before anything is evicted. Their
-        // evicted units must be read back before the node can execute; reads
-        // are not counted as I/O but the space they occupy is part of w̄_i.
-        for &c in tree.children(node) {
-            heap.remove(c);
-        }
-        let children_in_mem: u64 = tree.children(node).iter().map(|&c| in_mem[c.index()]).sum();
-        let others_resident = resident - children_in_mem;
+        // This step's bucket holds its children's resident units. They are
+        // read back and consumed by this step, so they stop being eviction
+        // candidates before anything is evicted; their evicted units must be
+        // read back before the node can execute (reads are not counted as
+        // I/O, but the space they occupy is part of w̄_i). The bucket's bit
+        // stays set: every live bucket's step is later, so it never wins.
+        let children_in_mem = std::mem::take(&mut alive[step]);
 
         // Evict non-children active data, furthest-in-the-future first, until
-        // the node fits.
-        let mut to_evict = (others_resident + wbar).saturating_sub(memory);
+        // the node fits. Every bucket up to this step's is empty.
+        let mut to_evict = (resident - children_in_mem + wbar).saturating_sub(memory);
         while to_evict > 0 {
-            let victim = heap
-                .top()
-                // lint: allow(L001, to_evict > 0 implies some non-child active data is resident, so the heap is not empty)
+            let b = live
+                .last()
+                // lint: allow(L001, to_evict > 0 implies some non-child active data is resident, so some bucket is live)
                 .expect("eviction needed but no active data to evict");
-            let amount = in_mem[victim.index()].min(to_evict);
-            in_mem[victim.index()] -= amount;
-            resident -= amount;
-            tau[victim.index()] += amount;
-            total_io = total_io.saturating_add(amount);
-            to_evict -= amount;
-            if in_mem[victim.index()] == 0 {
-                heap.remove(victim);
+            debug_assert!(
+                b > step,
+                "the latest live bucket {b} is not after step {step}"
+            );
+            let units = alive[b].min(to_evict);
+            alive[b] -= units;
+            if alive[b] == 0 {
+                live.remove(b);
             }
+            resident -= units;
+            total_io = total_io.saturating_add(units);
+            to_evict -= units;
+            // lint: allow(L003, push into the scratch drain log: capacity amortized across runs)
+            drains.push(Drain {
+                bucket: b,
+                step,
+                units,
+            });
         }
 
         // Read children back (no I/O counted), consume them, produce the
         // node's output fully in memory.
-        for &c in tree.children(node) {
-            resident -= in_mem[c.index()];
-            in_mem[c.index()] = 0;
-        }
-        in_mem[node.index()] = w;
-        resident = resident.saturating_add(w);
-        if w > 0 {
-            // lint: allow(L003, push into the scratch heap: capacity amortized across runs)
-            heap.push(parent_position(tree, positions, node), node);
-        }
+        resident = (resident - children_in_mem).saturating_add(w);
+        fill(alive, live, bucket(node), w);
 
         debug_assert!(
             resident <= memory || resident - w <= memory.saturating_sub(wbar),
             "resident data exceeds the memory bound after step {step}"
+        );
+    }
+
+    if !drains.is_empty() {
+        split_drains(
+            tree,
+            order,
+            positions,
+            drains,
+            &mut scratch.members,
+            &mut scratch.split,
+            &mut tau,
         );
     }
 
@@ -347,6 +403,80 @@ fn replay(
     })
 }
 
+/// Adds `w` resident units to bucket `b`.
+// lint: no_alloc
+#[inline]
+fn fill(alive: &mut [u64], live: &mut StepSet, b: usize, w: u64) {
+    if w > 0 {
+        live.insert(b);
+        alive[b] = alive[b].saturating_add(w);
+    }
+}
+
+/// The second pass: charges every drain to the outputs FiF evicts in it.
+/// Within a bucket, FiF evicts the smallest id first among the members
+/// produced before the drain's step, each until its output is gone, so the
+/// drains of one bucket, in step order, walk its members in that order.
+// lint: no_alloc
+fn split_drains(
+    tree: &Tree,
+    order: &[NodeId],
+    positions: &[usize],
+    drains: &mut [Drain],
+    members: &mut Vec<(usize, u32)>,
+    split: &mut BinaryHeap<Reverse<u32>>,
+    tau: &mut [u64],
+) {
+    // A bucket drains at most once per step, so this is each bucket's
+    // drains in step order.
+    drains.sort_unstable_by_key(|d| (d.bucket, d.step));
+    for group in drains.chunk_by(|a, b| a.bucket == b.bucket) {
+        let b = group[0].bucket;
+        members.clear();
+        if let Some(&consumer) = order.get(b) {
+            let children = tree.children(consumer).iter();
+            // lint: allow(L003, extend the scratch member list: capacity amortized across runs)
+            members.extend(children.map(|&c| (positions[c.index()], c.0)));
+            members.sort_unstable();
+        } else {
+            // The outputs whose consumer is outside the schedule, already in
+            // production order.
+            let produced = order.iter().enumerate();
+            let waiting =
+                produced.filter(|&(_, &v)| parent_position(tree, positions, v) == usize::MAX);
+            // lint: allow(L003, extend the scratch member list: capacity amortized across runs)
+            members.extend(waiting.map(|(step, &v)| (step, v.0)));
+        }
+        split.clear();
+        let mut admitted = 0;
+        for drain in group {
+            // Admit the members produced before this step, not at it: the
+            // node that runs at the drain's step is produced after it evicts.
+            while let Some(&(_, id)) = members.get(admitted).filter(|m| m.0 < drain.step) {
+                // lint: allow(L003, push into the scratch split heap: capacity amortized across runs)
+                split.push(Reverse(id));
+                admitted += 1;
+            }
+            let mut units = drain.units;
+            while units > 0 {
+                let &Reverse(id) = split
+                    .peek()
+                    // lint: allow(L001, a drain takes at most the units of the members produced before it)
+                    .expect("a bucket drained past its members");
+                let v = NodeId(id);
+                let left = tree.weight(v) - tau[v.index()];
+                let evicted = left.min(units);
+                // lint: allow(L009, τ(v) ≤ w_v: `evicted` is at most what is left of v's output)
+                tau[v.index()] += evicted;
+                units -= evicted;
+                if evicted == left {
+                    split.pop();
+                }
+            }
+        }
+    }
+}
+
 // lint: no_alloc
 #[inline]
 fn parent_position(tree: &Tree, positions: &[usize], node: NodeId) -> usize {
@@ -358,105 +488,80 @@ fn parent_position(tree: &Tree, positions: &[usize], node: NodeId) -> usize {
     }
 }
 
-/// `slot` value of a node that has no heap entry.
-const NOT_IN_HEAP: usize = usize::MAX;
+/// Enough levels of 64 for any `usize` universe (64^11 > 2^64).
+const MAX_LEVELS: usize = 11;
 
-/// FiF's eviction candidates: an indexed binary max-heap of nodes keyed by
-/// the step of their parent (the consumer of their data), so the datum
-/// needed furthest in the future sits on top; between siblings the smaller
-/// id wins. `slot` locates every node's entry, so a node leaves the heap as
-/// soon as it stops being evictable and the heap never holds more than the
-/// active set. (A consumed node's key is below every live one's, so leaving
-/// it in would change no choice, only grow the heap to every node produced.)
+/// A set of steps `0..n` with insertion, removal and maximum in
+/// O(log₆₄ n): one bit per step, and above that level one bit per
+/// nonzero word of the level below, up to a single word. FiF's latest
+/// non-empty bucket is the maximum: the replay leaves a consumed bucket's
+/// bit set, but its step is below every live bucket's.
 #[derive(Debug, Default)]
-struct EvictionHeap {
-    /// `(parent position, Reverse(node id))`, heap-ordered.
-    keys: Vec<(usize, Reverse<u32>)>,
-    /// Index of each node's entry in `keys`, or [`NOT_IN_HEAP`].
-    slot: Vec<usize>,
+struct StepSet {
+    /// The levels back to back: the bit per step first, the top word last.
+    words: Vec<u64>,
+    /// Where each of the first `levels` levels starts in `words`.
+    starts: [usize; MAX_LEVELS],
+    levels: usize,
 }
 
-impl EvictionHeap {
-    /// Empties the heap for a tree of `len` nodes.
+impl StepSet {
+    /// Empties the set for steps `0..n`.
     // lint: no_alloc
-    fn reset(&mut self, len: usize) {
-        self.keys.clear();
-        self.slot.clear();
-        // lint: allow(L003, scratch slot array grows to the tree size once: amortized across runs)
-        self.slot.resize(len, NOT_IN_HEAP);
-    }
-
-    /// The node to evict from next.
-    // lint: no_alloc
-    fn top(&self) -> Option<NodeId> {
-        self.keys.first().map(|&(_, Reverse(raw))| NodeId(raw))
-    }
-
-    /// Adds `node`, whose parent runs at step `parent_pos`.
-    // lint: no_alloc
-    fn push(&mut self, parent_pos: usize, node: NodeId) {
-        let i = self.keys.len();
-        // lint: allow(L003, push into the scratch heap: capacity amortized across runs)
-        self.keys.push((parent_pos, Reverse(node.0)));
-        self.slot[node.index()] = i;
-        self.sift_up(i);
-    }
-
-    /// Removes `node`'s entry, if it has one.
-    // lint: no_alloc
-    fn remove(&mut self, node: NodeId) {
-        let i = self.slot[node.index()];
-        if i == NOT_IN_HEAP {
-            return;
-        }
-        self.slot[node.index()] = NOT_IN_HEAP;
-        self.keys.swap_remove(i);
-        if let Some(&(_, Reverse(moved))) = self.keys.get(i) {
-            self.slot[NodeId(moved).index()] = i;
-            self.sift_down(i);
-            self.sift_up(i);
-        }
-    }
-
-    // lint: no_alloc
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.keys[parent] > self.keys[i] {
-                break;
-            }
-            self.swap(i, parent);
-            i = parent;
-        }
-    }
-
-    // lint: no_alloc
-    fn sift_down(&mut self, mut i: usize) {
+    fn reset(&mut self, n: usize) {
+        let mut size = n.div_ceil(64).max(1);
+        let mut start = 0;
+        self.levels = 0;
         loop {
-            let left = 2 * i + 1;
-            let right = left + 1;
-            let mut largest = i;
-            if left < self.keys.len() && self.keys[left] > self.keys[largest] {
-                largest = left;
-            }
-            if right < self.keys.len() && self.keys[right] > self.keys[largest] {
-                largest = right;
-            }
-            if largest == i {
+            self.starts[self.levels] = start;
+            self.levels += 1;
+            start += size;
+            if size == 1 {
                 break;
             }
-            self.swap(i, largest);
-            i = largest;
+            size = size.div_ceil(64);
+        }
+        self.words.clear();
+        // lint: allow(L003, scratch bitset grows to the schedule length once: amortized across runs)
+        self.words.resize(start, 0);
+    }
+
+    /// Adds `step`; the levels above change only where a word was empty.
+    // lint: no_alloc
+    fn insert(&mut self, mut step: usize) {
+        for &start in &self.starts[..self.levels] {
+            let word = &mut self.words[start + step / 64];
+            let was_empty = *word == 0;
+            *word |= 1 << (step % 64);
+            if !was_empty {
+                break;
+            }
+            step /= 64;
         }
     }
 
+    /// Removes `step`; the levels above change only where a word empties.
     // lint: no_alloc
-    fn swap(&mut self, a: usize, b: usize) {
-        self.keys.swap(a, b);
-        let (_, Reverse(at_a)) = self.keys[a];
-        let (_, Reverse(at_b)) = self.keys[b];
-        self.slot[NodeId(at_a).index()] = a;
-        self.slot[NodeId(at_b).index()] = b;
+    fn remove(&mut self, mut step: usize) {
+        for &start in &self.starts[..self.levels] {
+            let word = &mut self.words[start + step / 64];
+            *word &= !(1 << (step % 64));
+            if *word != 0 {
+                break;
+            }
+            step /= 64;
+        }
+    }
+
+    /// The largest step in the set.
+    // lint: no_alloc
+    fn last(&self) -> Option<usize> {
+        let (top, below) = self.starts[..self.levels].split_last()?;
+        let mut step = self.words[*top].checked_ilog2()? as usize;
+        for &start in below.iter().rev() {
+            step = step * 64 + self.words[start + step].ilog2() as usize;
+        }
+        Some(step)
     }
 }
 
@@ -710,6 +815,39 @@ mod tests {
         assert_eq!(peak_memory(&t, &s).err(), unknown);
         assert_eq!(memory_profile(&t, &s).err(), unknown);
         assert_eq!(check_traversal(&t, &s, &[0; 4], 10).err(), unknown);
+    }
+
+    /// `StepSet` against a `BTreeSet` through inserts, removals and maxima
+    /// at universe sizes of one to four levels, reset between sizes.
+    #[test]
+    fn step_set_tracks_the_largest_step() {
+        let mut set = StepSet::default();
+        assert_eq!(set.last(), None);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        for n in [1, 63, 64, 65, 4096, 4097, 300_000] {
+            set.reset(n);
+            let mut model = std::collections::BTreeSet::new();
+            for _ in 0..2_000 {
+                let step = if model.is_empty() || next(3) > 0 {
+                    next(n)
+                } else {
+                    *model.iter().nth(next(model.len())).unwrap()
+                };
+                if model.insert(step) {
+                    set.insert(step);
+                } else {
+                    model.remove(&step);
+                    set.remove(step);
+                }
+                assert_eq!(set.last(), model.last().copied(), "n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -610,7 +610,7 @@ impl Tree {
     }
 
     /// Validates the internal consistency of the tree (used in tests and by
-    /// deserialization call sites).
+    /// deserialization call sites), in O(n).
     pub fn validate(&self) -> Result<(), TreeError> {
         if self.is_empty() {
             return Err(TreeError::Empty);
@@ -618,13 +618,23 @@ impl Tree {
         let n = self.len();
         debug_assert_eq!(self.parent.len(), n);
         debug_assert_eq!(self.child_start.len(), n + 1);
+        // listed[c]: c's parent lists it among its children. One pass over
+        // the child lists, so no list is searched once per child.
+        let mut listed = vec![false; n];
+        for node in self.node_ids() {
+            for &c in self.children(node) {
+                if c.index() < n && self.parent(c) == Some(node) {
+                    listed[c.index()] = true;
+                }
+            }
+        }
         let mut seen_as_child = vec![false; n];
         for node in self.node_ids() {
             if let Some(p) = self.parent(node) {
                 if p.index() >= n {
                     return Err(TreeError::UnknownNode(p));
                 }
-                if !self.children(p).contains(&node) {
+                if !listed[node.index()] {
                     return Err(TreeError::UnknownNode(node));
                 }
             }
@@ -756,6 +766,17 @@ mod tests {
         b.add_child(a, 4);
         b.add_child(r, 2);
         b.build().unwrap()
+    }
+
+    /// `validate` marks the listed children in one pass: on a star it used
+    /// to search the root's child list once per leaf, O(n²).
+    #[test]
+    fn validate_is_linear_on_a_wide_star() {
+        let n = (1 << 17) + 1;
+        let parents: Vec<Option<usize>> = (0..n).map(|i| (i > 0).then_some(0)).collect();
+        let star = Tree::from_parents(&vec![1; n], &parents).unwrap();
+        assert_eq!(star.children(star.root()).len(), n - 1);
+        assert_eq!(star.validate(), Ok(()));
     }
 
     #[test]

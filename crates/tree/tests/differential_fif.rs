@@ -5,22 +5,26 @@
 //! entries that went stale (consumed, fully evicted, or a child of the
 //! running node) when they surface. It replays every step from the first
 //! and validates with the two-array check `Schedule::validate` used before
-//! it filled the replay's positions. The library keeps an indexed heap of
-//! the evictable nodes only and starts at the first overflow. Both must
-//! pick the same victim at every step, so `τ`, the total I/O and the
-//! in-core peak must agree on every schedule: random topological orders
-//! (not only postorders) of whole trees, of subtrees and of forests of
-//! subtrees, at memory bounds from the largest `w̄_i` to the peak and at
-//! bounds that put the first overflow at each step where one can start.
-//! Invalid schedules must fail with the reference's error in every
-//! simulator.
+//! it filled the replay's positions. The library starts at the first
+//! overflow, runs FiF on per-consumer-step buckets and then splits each
+//! drained bucket over its members, smallest id first among those produced
+//! before the drain. Both must evict the same units of the same nodes, so
+//! `τ`, the total I/O and the in-core peak must agree on every schedule:
+//! random topological orders (not only postorders) of whole trees, of
+//! subtrees and of forests of subtrees, at memory bounds from the largest
+//! `w̄_i` to the peak and at bounds that put the first overflow at each step
+//! where one can start. Dedicated cases pin the split: siblings produced
+//! out of id order, a sibling whose own step drains its bucket, forests
+//! whose unscheduled consumers' bucket drains, and expanded trees whose
+//! child lists are not in id order. Invalid schedules must fail with the
+//! reference's error in every simulator.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use oocts_tree::{
-    fif_io, fif_io_with, memory_profile, peak_memory, FifScratch, IoResult, NodeId, Schedule, Tree,
-    TreeBuilder, TreeError,
+    fif_io, fif_io_with, memory_profile, peak_memory, ExpandedTree, FifScratch, IoResult, NodeId,
+    Schedule, Tree, TreeBuilder, TreeError,
 };
 use proptest::test_runner::TestRng;
 
@@ -52,8 +56,9 @@ fn reference_validate(tree: &Tree, schedule: &Schedule) -> Result<(), TreeError>
     Ok(())
 }
 
-/// The FiF replay as written before the indexed heap: a lazily invalidated
-/// max-heap of `(parent position, Reverse(id))` holding every produced node.
+/// The FiF replay as written before the per-step buckets (and the indexed
+/// heap before them): a lazily invalidated max-heap of `(parent position,
+/// Reverse(id))` holding every produced node.
 fn reference_fif(tree: &Tree, schedule: &Schedule, memory: u64) -> Result<IoResult, TreeError> {
     reference_validate(tree, schedule)?;
     let positions = schedule.positions(tree);
@@ -359,6 +364,173 @@ fn fif_window_edges_on_small_trees() {
     assert_eq!((io.total_io, io.tau[x.index()], io.peak_in_core), (1, 1, 6));
 }
 
+/// A sibling whose own step drains its bucket: at `v`'s step the latest
+/// live bucket is its parent's, and `v` has the smallest id there, but its
+/// output does not exist yet. Only `u`, produced earlier, can lose a unit.
+#[test]
+fn fif_split_skips_the_sibling_produced_at_the_drain_step() {
+    let mut scratch = FifScratch::new();
+    // p(1) <- v(2), p <- u(2), p <- z(1) <- y(3). Needs: u 2, y 5, v 7,
+    // z 7, p 5. At M = 6 the first overflow is v's step: bucket p holds u,
+    // bucket z holds y, and p's is the later one.
+    let mut bld = TreeBuilder::new();
+    let p = bld.add_root(1);
+    let v = bld.add_child(p, 2);
+    let u = bld.add_child(p, 2);
+    let z = bld.add_child(p, 1);
+    let y = bld.add_child(z, 3);
+    let t = bld.build().unwrap();
+    assert!(
+        v < u,
+        "the sibling at the drain step must have the smaller id"
+    );
+    let s = Schedule::new(vec![u, y, v, z, p]);
+    let io = replay_all(&t, &s, 6, &mut scratch).unwrap();
+    assert_eq!((io.total_io, io.tau[u.index()], io.peak_in_core), (1, 1, 7));
+    compare_all_bounds(&t, &s, &mut scratch);
+}
+
+/// A root over `weights.len()` two-node chains `top_i <- leaf_i`, ids
+/// ascending with `i` (root 0, tops `1..=k`, leaves `k+1..=2k`); `weights[i]`
+/// is `(top, leaf)`.
+fn chains(root_weight: u64, weights: &[(u64, u64)]) -> Tree {
+    let mut bld = TreeBuilder::new();
+    let root = bld.add_root(root_weight);
+    let tops: Vec<NodeId> = weights
+        .iter()
+        .map(|&(w, _)| bld.add_child(root, w))
+        .collect();
+    for (&top, &(_, w)) in tops.iter().zip(weights) {
+        bld.add_child(top, w);
+    }
+    bld.build().unwrap()
+}
+
+/// The chains of [`chains`] run one after the other, in ascending or
+/// descending id order, then the root unless `forest`.
+fn chains_schedule(tree: &Tree, descending: bool, forest: bool) -> Schedule {
+    let tops = tree.children(tree.root()).to_vec();
+    let mut order = Vec::with_capacity(tree.len());
+    let mut run = |top: NodeId| order.extend([tree.children(top)[0], top]);
+    if descending {
+        tops.into_iter().rev().for_each(&mut run);
+    } else {
+        tops.into_iter().for_each(&mut run);
+    }
+    if !forest {
+        order.push(tree.root());
+    }
+    Schedule::new(order)
+}
+
+/// Counts the nodes `τ` evicts only partly (`0 < τ(i) < w_i`).
+fn partial_victims(tree: &Tree, io: &IoResult) -> usize {
+    tree.node_ids()
+        .filter(|&i| io.tau[i.index()] > 0 && io.tau[i.index()] < tree.weight(i))
+        .count()
+}
+
+/// Siblings produced in descending id order into a bucket that drains
+/// partly at one step and again at later ones: FiF takes the latest
+/// produced first (the smallest id), not the earliest. With the root left
+/// out, the same chains wait for an unscheduled consumer instead.
+#[test]
+fn fif_splits_descending_siblings_by_id() {
+    // Eight chains; the root needs 16, the fifth leaf 17: the bucket drains
+    // 1 unit there (the fourth top keeps 1), then 2 at each later leaf.
+    let t = chains(1, &[(2, 9); 8]);
+    let mut scratch = FifScratch::new();
+    let s = chains_schedule(&t, true, false);
+    let io = replay_all(&t, &s, 16, &mut scratch).unwrap();
+    let tops = t.children(t.root());
+    let evicted: Vec<u64> = tops.iter().map(|c| io.tau[c.index()]).collect();
+    assert_eq!(evicted, [0, 2, 2, 2, 1, 0, 0, 0]);
+
+    let mut rng = TestRng::from_seed(0xde5c);
+    let mut partial = 0;
+    for case in 0..300 {
+        let k = 2 + rng.below(12) as usize;
+        let hi = [3, 10, 100][case % 3];
+        let weights: Vec<(u64, u64)> = (0..k)
+            .map(|_| (1 + rng.below(hi), 1 + rng.below(3 * hi)))
+            .collect();
+        let t = chains(1 + rng.below(hi), &weights);
+        for (descending, forest) in [(true, false), (true, true), (false, false)] {
+            let s = chains_schedule(&t, descending, forest);
+            compare_all_bounds(&t, &s, &mut scratch);
+            let lb = largest_wbar(&t, &s);
+            partial += partial_victims(&t, &reference_fif(&t, &s, lb).unwrap());
+        }
+    }
+    assert!(partial > 100, "only {partial} partly evicted nodes at LB");
+}
+
+/// Forests of every subtree below a depth, in random topological order:
+/// their roots have different unscheduled parents, so they all share the
+/// bucket after the end, and they are produced out of id order.
+#[test]
+fn fif_matches_the_lazy_heap_on_forests_below_a_depth() {
+    let mut rng = TestRng::from_seed(0xf0e5);
+    let mut scratch = FifScratch::new();
+    let mut drained = 0;
+    for case in 0..300u64 {
+        let n = 8 + rng.below(40) as usize;
+        let tree = random_tree(&mut rng, n, [0, 2, 3][(case % 3) as usize], (1, 10));
+        let whole = random_topological_order(&mut rng, &tree, tree.root());
+        for depth in 1..=2 {
+            let forest: Vec<NodeId> = whole.iter().filter(|&v| tree.depth(v) >= depth).collect();
+            if forest.is_empty() {
+                continue;
+            }
+            let s = Schedule::new(forest);
+            compare_all_bounds(&tree, &s, &mut scratch);
+            let io = reference_fif(&tree, &s, largest_wbar(&tree, &s)).unwrap();
+            let waiting = s.iter().filter(|&v| tree.depth(v) == depth);
+            drained += waiting.filter(|v| io.tau[v.index()] > 0).count();
+        }
+    }
+    assert!(drained > 100, "only {drained} forest roots evicted at LB");
+}
+
+/// Trees after random expansions, whose child lists are no longer in id
+/// order (each expansion puts a new, larger id in its node's slot), with
+/// subtree traversals replayed as RecExpand replays them: the subtree's
+/// postorder and random topological orders.
+#[test]
+fn fif_matches_the_lazy_heap_on_expanded_trees() {
+    let mut rng = TestRng::from_seed(0xe4a9);
+    let mut scratch = FifScratch::new();
+    let mut unordered = 0;
+    for case in 0..200u64 {
+        let n = 4 + rng.below(30) as usize;
+        let original = random_tree(&mut rng, n, case % 4, (1, 10));
+        let mut expanded = ExpandedTree::new(&original);
+        for _ in 0..1 + rng.below(6) {
+            let len = expanded.tree().len() as u64;
+            let node = NodeId::from_index(rng.below(len) as usize);
+            let w = expanded.tree().weight(node);
+            if w > 0 {
+                expanded.expand(node, 1 + rng.below(w));
+            }
+        }
+        let tree = expanded.tree();
+        tree.validate().unwrap();
+        let ascending = |v: NodeId| tree.children(v).windows(2).all(|c| c[0] < c[1]);
+        unordered += tree.node_ids().filter(|&v| !ascending(v)).count();
+        for _ in 0..3 {
+            let root = NodeId::from_index(rng.below(tree.len() as u64) as usize);
+            let postorder = Schedule::new(tree.subtree_postorder(root).to_vec());
+            compare_all_bounds(tree, &postorder, &mut scratch);
+            let random = random_topological_order(&mut rng, tree, root);
+            compare_all_bounds(tree, &random, &mut scratch);
+        }
+    }
+    assert!(
+        unordered > 100,
+        "only {unordered} child lists out of id order"
+    );
+}
+
 /// Invalid schedules fail with exactly the reference's error in
 /// `Schedule::validate`, `peak_memory` and `fif_io`, whatever the bound:
 /// also when the bound is below some node's `w̄_i` (at `M = 0`, below the
@@ -457,5 +629,26 @@ fn fif_matches_the_lazy_heap_on_large_trees() {
                 replay_all(&tree, &schedule, lb + span * i / 7, &mut scratch).unwrap();
             }
         }
+    }
+}
+
+/// The root over 2^17 two-node chains (tops of weight 1, leaves of 2^16) at
+/// the largest `w̄_i`, the chains run in ascending and in descending id
+/// order: every leaf after the first 2^16 + 1 evicts one top from the
+/// root's bucket, 2^16 − 1 drains in all. A split that rescanned the
+/// bucket's 2^17 members at every drain would take minutes here.
+#[test]
+#[ignore = "large tree: run in release with --ignored (CI does)"]
+fn fif_splits_the_bucket_of_many_chains_in_linear_time() {
+    let k = 1 << 17;
+    let tree = chains(1, &vec![(1, 1 << 16); k]);
+    let mut scratch = FifScratch::new();
+    for descending in [false, true] {
+        let schedule = chains_schedule(&tree, descending, false);
+        let lb = largest_wbar(&tree, &schedule);
+        assert_eq!(lb, k as u64);
+        let io = replay_all(&tree, &schedule, lb, &mut scratch).unwrap();
+        let evicted = io.tau.iter().filter(|&&t| t > 0).count() as u64;
+        assert_eq!((evicted, io.total_io), ((1 << 16) - 1, (1 << 16) - 1));
     }
 }

@@ -17,13 +17,17 @@
 //! ```
 //!
 //! The cheap structural checks (steal counters, cell accounting,
-//! sharding-independent results) run everywhere, single-core included.
+//! sharding-independent results) run everywhere, single-core included. The
+//! steal check does not wait for thread timing to produce a steal: the
+//! huge instance's cells hold their worker until a thief joins them.
 
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use oocts::gen::random::uniform_attachment_tree;
 use oocts::prelude::*;
 use oocts::profile::bounds::MemoryBound;
+use oocts::tree::TreeError;
 
 mod common;
 
@@ -53,7 +57,22 @@ fn timed_run(
     threads: usize,
 ) -> (Duration, EngineStats, ExperimentResults) {
     let registry = SchedulerRegistry::with_builtins();
-    let mut config = ExperimentConfig::new(registry.get_list(ROW).unwrap(), MemoryBound::Middle);
+    run_row(
+        instances,
+        registry.get_list(ROW).unwrap(),
+        granularity,
+        threads,
+    )
+}
+
+/// [`timed_run`] with the row's schedulers given.
+fn run_row(
+    instances: &[(String, Tree)],
+    row: Vec<Arc<dyn Scheduler>>,
+    granularity: Granularity,
+    threads: usize,
+) -> (Duration, EngineStats, ExperimentResults) {
+    let mut config = ExperimentConfig::new(row, MemoryBound::Middle);
     config.threads = threads;
     config.granularity = granularity;
     let results = run_experiment(instances, &config).expect("Middle bound is feasible");
@@ -106,14 +125,107 @@ fn cell_sharding_beats_instance_sharding_with_four_workers() {
     );
 }
 
+/// How long a huge cell waits for a thief before the test gives up on it.
+const THIEF_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// The workers inside the huge instance's cells.
+#[derive(Default)]
+struct StealGate {
+    state: Mutex<GateState>,
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct GateState {
+    /// Workers inside a huge cell right now.
+    inside: usize,
+    /// Two workers were inside at once.
+    overlapped: bool,
+    /// A cell stopped waiting for a thief.
+    timed_out: bool,
+}
+
+impl StealGate {
+    /// Enters a huge cell and waits until another worker is inside one
+    /// too, or until [`THIEF_TIMEOUT`].
+    fn enter(&self) {
+        let mut state = self.state.lock().unwrap();
+        state.inside += 1;
+        if state.inside >= 2 {
+            state.overlapped = true;
+            self.changed.notify_all();
+        }
+        let (mut state, wait) = self
+            .changed
+            .wait_timeout_while(state, THIEF_TIMEOUT, |s| !s.overlapped && !s.timed_out)
+            .unwrap();
+        if wait.timed_out() {
+            state.timed_out = true;
+        }
+    }
+
+    fn leave(&self) {
+        self.state.lock().unwrap().inside -= 1;
+    }
+
+    fn overlapped(&self) -> bool {
+        self.state.lock().unwrap().overlapped
+    }
+}
+
+/// One of the row's schedulers whose cells on the huge instance (the only
+/// tree of `huge_len` nodes) pass through `gate`. The worker that prepared
+/// the instance owns its cells and runs them one at a time, so a second
+/// worker inside one of them can only have stolen it: the gate forces the
+/// steal instead of leaving it to thread timing.
+struct WaitForThief {
+    inner: Arc<dyn Scheduler>,
+    huge_len: usize,
+    gate: Arc<StealGate>,
+}
+
+impl Scheduler for WaitForThief {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn schedule(&self, tree: &Tree, memory: u64) -> Result<Schedule, TreeError> {
+        self.inner.schedule(tree, memory)
+    }
+
+    fn solve(&self, tree: &Tree, memory: u64) -> Result<SolveReport, TreeError> {
+        if tree.len() != self.huge_len {
+            return self.inner.solve(tree, memory);
+        }
+        self.gate.enter();
+        let report = self.inner.solve(tree, memory);
+        self.gate.leave();
+        report
+    }
+}
+
 /// Cheap structural check, meaningful even on a single-core host: the
 /// huge instance's solve cells land in one worker's deque (largest-first
-/// seeding) and idle workers steal them while their owner is busy.
+/// seeding) and idle workers steal them while their owner is busy. The
+/// owner's first huge cell waits for a thief, so a steal always happens.
 #[test]
 fn thieves_steal_the_straggler_cells() {
     let instances = straggler_instances(10, 15); // 2^11 - 1 huge nodes
-    let (_, stats, results) = timed_run(&instances, Granularity::Cell, 4);
+    let gate = Arc::new(StealGate::default());
+    let registry = SchedulerRegistry::with_builtins();
+    let row = registry.get_list(ROW).unwrap().into_iter().map(|inner| {
+        Arc::new(WaitForThief {
+            inner,
+            huge_len: instances[0].1.len(),
+            gate: Arc::clone(&gate),
+        }) as Arc<dyn Scheduler>
+    });
+    let (_, stats, results) = run_row(&instances, row.collect(), Granularity::Cell, 4);
 
+    assert!(
+        gate.overlapped(),
+        "no second worker entered the huge instance's cells within {THIEF_TIMEOUT:?}"
+    );
     assert_eq!(stats.granularity, Granularity::Cell);
     assert_eq!(stats.threads, 4);
     assert_eq!(stats.workers.len(), 4);
