@@ -131,8 +131,10 @@ impl Cli {
     /// # Errors
     /// Returns a [`CliError`] on an unknown option, a missing value, a
     /// value that does not parse (including `--algos` names the scheduler
-    /// registry rejects), `--trees 0`, `--nodes 0`, or a `--scale` outside
-    /// 1–4. Binaries report it via [`Cli::parse_or_exit`].
+    /// registry rejects), `--trees 0`, a `--nodes` outside 1 to `u32::MAX`
+    /// (the range of a node id, so no count can make the generator allocate
+    /// for a tree that cannot exist), or a `--scale` outside 1–4. Binaries
+    /// report it via [`Cli::parse_or_exit`].
     pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, CliError> {
         let mut cli = Cli::default();
         let mut args = args.into_iter().peekable();
@@ -163,7 +165,9 @@ impl Cli {
             }
             match arg.as_str() {
                 "--trees" => cli.trees = within("--trees", value("--trees")?, 1, usize::MAX)?,
-                "--nodes" => cli.nodes = within("--nodes", value("--nodes")?, 1, usize::MAX)?,
+                "--nodes" => {
+                    cli.nodes = within("--nodes", value("--nodes")?, 1, u32::MAX as usize)?;
+                }
                 "--scale" => cli.scale = within("--scale", value("--scale")?, 1, 4)?,
                 "--seed" => cli.seed = number("--seed", value("--seed")?)?,
                 "--threads" => cli.threads = number("--threads", value("--threads")?)?,
@@ -476,7 +480,18 @@ mod tests {
         };
         let at_least_one = "0 is out of range (expected at least 1)";
         assert_eq!(rejected("--trees", "0"), at_least_one);
-        assert_eq!(rejected("--nodes", "0"), at_least_one);
+        // A node id is a u32: a larger tree cannot exist, and the generator
+        // would allocate for it before noticing.
+        let nodes = "is out of range (expected 1 to 4294967295)";
+        assert_eq!(rejected("--nodes", "0"), format!("0 {nodes}"));
+        assert_eq!(
+            rejected("--nodes", "4294967296"),
+            format!("4294967296 {nodes}")
+        );
+        assert_eq!(
+            rejected("--nodes", "5000000000"),
+            format!("5000000000 {nodes}")
+        );
         let scales = "is out of range (expected 1 to 4)";
         assert_eq!(rejected("--scale", "0"), format!("0 {scales}"));
         assert_eq!(rejected("--scale", "5"), format!("5 {scales}"));
@@ -486,6 +501,8 @@ mod tests {
         // The bounds themselves are accepted.
         let cli = parse(&["--trees", "1", "--nodes", "1", "--scale", "4"]).unwrap();
         assert_eq!((cli.trees, cli.nodes, cli.scale), (1, 1, 4));
+        let cli = parse(&["--nodes", "4294967295"]).unwrap();
+        assert_eq!(cli.nodes, 4_294_967_295);
         assert_eq!(parse(&["--scale", "1"]).unwrap().scale, 1);
     }
 

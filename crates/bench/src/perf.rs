@@ -57,6 +57,7 @@
 //!     "granularity": "Cell",
 //!     "threads": 8,
 //!     "elapsed_ms": 41.7,
+//!     "copy_ms": 0.0,
 //!     "cells": 256,
 //!     "executed": 320,
 //!     "stolen": 12,
@@ -68,7 +69,10 @@
 //!
 //!   `granularity` is the engine decomposition (`"Cell"` or `"Instance"`);
 //!   `elapsed_ms` the parallel wall-clock of the whole run (the number the
-//!   `BENCH_pr10_before`/`BENCH_pr10` pair compares); `cells` the scheduler
+//!   `BENCH_pr10_before`/`BENCH_pr10` pair compares); `copy_ms` the part of
+//!   it the caller's thread spent copying large instances into postorder
+//!   numbering before the workers started, 0 when none was copied (older
+//!   snapshots lack it, and it is not required); `cells` the scheduler
 //!   cells executed; `executed`/`stolen`/`injected` the summed per-worker
 //!   task counters; `cell_wall_ms` the total engine-measured wall-time of
 //!   *this scheduler's* cells; `csv_fnv64` the FNV-1a digest of the run's
@@ -346,6 +350,7 @@ pub fn run_bench(config: &BenchConfig) -> Result<Value, ExperimentError> {
                             )
                             .with("threads", Value::U64(stats.threads as u64))
                             .with("elapsed_ms", Value::F64(stats.elapsed.as_secs_f64() * 1e3))
+                            .with("copy_ms", Value::F64(stats.copy.as_secs_f64() * 1e3))
                             .with("cells", Value::U64(stats.cells))
                             .with("executed", Value::U64(stats.total_executed()))
                             .with("stolen", Value::U64(stats.total_stolen()))
@@ -507,7 +512,12 @@ fn validate_engine(engine: &Value) -> Result<(), String> {
             .as_u64()
             .ok_or_else(|| format!("{key}: expected a non-negative integer"))?;
     }
-    for key in ["elapsed_ms", "cell_wall_ms"] {
+    for key in ["elapsed_ms", "copy_ms", "cell_wall_ms"] {
+        // `copy_ms` is newer than the committed `BENCH_pr9*.json` and
+        // `BENCH_pr10*.json` snapshots: checked when present, not required.
+        if key == "copy_ms" && engine.get(key).is_none() {
+            continue;
+        }
         let ms = field(key)?
             .as_f64()
             .ok_or_else(|| format!("{key}: expected a number"))?;
@@ -660,6 +670,8 @@ mod tests {
             assert_eq!(cells_run, instances * 4);
             let executed = engine.get("executed").unwrap().as_u64().unwrap();
             assert_eq!(executed, instances * 5, "4 solve cells + 1 prep each");
+            // No instance of the quick matrix is large enough to be copied.
+            assert_eq!(engine.get("copy_ms").unwrap().as_f64(), Some(0.0));
         }
     }
 
@@ -760,6 +772,38 @@ mod tests {
         bad_gran.set("cells", Value::Array(cells));
         let err = validate_bench(&bad_gran).unwrap_err();
         assert!(err.contains("engine.granularity"), "{err}");
+
+        // `copy_ms` is checked when present but not required: the
+        // committed `BENCH_pr9*.json` and `BENCH_pr10*.json` predate it.
+        let with_engine = |edit: &dyn Fn(&mut Value)| {
+            let mut snapshot = good.clone();
+            let mut cells = match snapshot.get("cells") {
+                Some(Value::Array(c)) => c.clone(),
+                _ => unreachable!(),
+            };
+            let mut engine = cells[2].get("engine").unwrap().clone();
+            edit(&mut engine);
+            cells[2].set("engine", engine);
+            snapshot.set("cells", Value::Array(cells));
+            validate_bench(&snapshot)
+        };
+        let err = with_engine(&|e| e.set("copy_ms", Value::F64(-1.0))).unwrap_err();
+        assert!(err.contains("cells[2].engine.copy_ms"), "{err}");
+        let err = with_engine(&|e| e.set("copy_ms", Value::Str("fast".to_string()))).unwrap_err();
+        assert!(err.contains("cells[2].engine.copy_ms"), "{err}");
+        with_engine(&|e| {
+            if let Value::Object(entries) = e {
+                entries.retain(|(k, _)| k != "copy_ms");
+            }
+        })
+        .expect("copy_ms is optional");
+        let err = with_engine(&|e| {
+            if let Value::Object(entries) = e {
+                entries.retain(|(k, _)| k != "elapsed_ms");
+            }
+        })
+        .unwrap_err();
+        assert!(err.contains("cells[2].engine.elapsed_ms: missing"), "{err}");
 
         // A cell with no engine object at all stays valid (pre-engine
         // snapshots must keep validating).

@@ -3,10 +3,10 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use oocts_tree::{NodeId, Tree};
+use oocts_tree::Tree;
 
 /// Generates a uniformly random binary tree with `n` nodes (each node has 0,
-/// 1 or 2 ordered children) using Rémy's algorithm, and assigns every node a
+/// 1 or 2 children) using Rémy's algorithm, and assigns every node a
 /// weight drawn uniformly from `weights`.
 ///
 /// Rémy's algorithm grows a uniformly random *full* binary tree with `n`
@@ -14,75 +14,47 @@ use oocts_tree::{NodeId, Tree};
 /// yields a uniformly random binary tree on the `n` internal nodes — the same
 /// distribution the paper samples through half-Catalan numbers.
 ///
+/// The full tree lives in one array over its `2n + 1` slots, holding the
+/// task id of each slot's parent. Step `t` draws an existing slot `x` (and
+/// a side); the new internal node, slot `2t + 1`, is task `t`: it takes x's
+/// parent, and both x and the new external leaf, slot `2t + 2`, take task
+/// `t` as theirs. Every parent is internal, so task `t`'s parent in the
+/// task tree is the entry of slot `2t + 1`. Children are listed in id
+/// order, as [`Tree::from_parents`] lists them. The side, which would only
+/// order a node's children, is drawn to keep the random stream (and so the
+/// weights and every tree) as it was, but not kept.
+///
 /// # Panics
-/// If `n` is 0: a tree needs at least one node.
+/// If `n` is 0 (a tree needs at least one node) or above `u32::MAX` (the
+/// range of [`NodeId`](oocts_tree::NodeId)).
 pub fn random_binary_tree(n: usize, weights: std::ops::RangeInclusive<u64>, seed: u64) -> Tree {
     assert!(n >= 1, "a tree needs at least one node");
+    assert!(
+        u32::try_from(n).is_ok(),
+        "a tree has at most u32::MAX nodes, not {n}"
+    );
     let mut rng = StdRng::seed_from_u64(seed);
-
-    // Rémy's algorithm on an array representation of a full binary tree.
-    // Nodes: 0..2n+1 ; node 0 starts as the only (external) node.
-    // `children[v]` is None for external nodes and Some([left, right]) for
-    // internal ones; `parent[v]` tracks the parent to allow grafting.
-    let total = 2 * n + 1;
-    let mut children: Vec<Option<[usize; 2]>> = vec![None; total];
-    let mut parent: Vec<Option<(usize, usize)>> = vec![None; total]; // (parent, side)
-    let mut root = 0usize;
-    let mut used = 1usize; // node 0 exists
-
-    for _ in 0..n {
-        // Pick a uniformly random existing node and a side.
-        let x = rng.random_range(0..used);
-        let side = rng.random_range(0..2usize);
-        let internal = used;
-        let leaf = used + 1;
-        used += 2;
-        // The new internal node takes x's place; x and the new leaf become
-        // its children (x on `side`).
-        let mut kids = [leaf, leaf];
-        kids[side] = x;
-        kids[1 - side] = leaf;
-        children[internal] = Some(kids);
-        match parent[x] {
-            Some((p, s)) => {
-                // lint: allow(L001, x has a recorded parent slot, so that parent is internal)
-                children[p].as_mut().expect("parent is internal")[s] = internal;
-                parent[internal] = Some((p, s));
-            }
-            None => {
-                root = internal;
-                parent[internal] = None;
-            }
-        }
-        parent[x] = Some((internal, side));
-        parent[leaf] = Some((internal, 1 - side));
+    let mut parent = vec![NO_PARENT; 2 * n + 1];
+    // Slot 0 is the first external leaf; slots 0..2t + 1 exist at step t.
+    for (t, task) in (0..n).zip(0u32..) {
+        let internal = 2 * t + 1;
+        let x = rng.random_range(0..internal);
+        let _side = rng.random_range(0..2usize);
+        parent[internal] = parent[x];
+        parent[x] = task;
+        parent[internal + 1] = task;
     }
-
-    // Contract external leaves: the task tree consists of the n internal
-    // nodes; the parent of an internal node is its closest internal ancestor.
-    let mut task_id = vec![usize::MAX; total];
-    let mut next = 0usize;
-    for v in 0..used {
-        if children[v].is_some() {
-            task_id[v] = next;
-            next += 1;
-        }
-    }
-    debug_assert_eq!(next, n);
-    let mut parents: Vec<Option<usize>> = vec![None; n];
-    for v in 0..used {
-        if children[v].is_some() {
-            let mut p = parent[v].map(|(p, _)| p);
-            // All ancestors are internal nodes by construction.
-            if let Some(pp) = p.take() {
-                parents[task_id[v]] = Some(task_id[pp]);
-            }
-        }
-    }
-    let _ = root;
+    let parents: Vec<Option<usize>> = parent[1..]
+        .iter()
+        .step_by(2)
+        .map(|&p| (p != NO_PARENT).then_some(p as usize))
+        .collect();
     let w = random_weights(n, weights, &mut rng);
     from_parents_infallible(&w, &parents, "Rémy construction always yields a tree")
 }
+
+/// Marks a parentless slot in [`random_binary_tree`].
+const NO_PARENT: u32 = u32::MAX;
 
 /// Finalizes a generator's parent array into a [`Tree`].
 ///
@@ -178,37 +150,6 @@ pub fn caterpillar(spine: usize, legs: usize, spine_weight: u64, leaf_weight: u6
     from_parents_infallible(&weights, &parents, "caterpillar is a tree")
 }
 
-/// Returns the number of children of every node — handy for shape statistics
-/// in tests and reports.
-pub fn arity_histogram(tree: &Tree) -> Vec<usize> {
-    let mut hist = vec![0usize; 3.max(tree.len())];
-    for n in tree.node_ids() {
-        let a = tree.children(n).len();
-        if a >= hist.len() {
-            hist.resize(a + 1, 0);
-        }
-        hist[a] += 1;
-    }
-    hist
-}
-
-/// Maximum number of children over all nodes.
-pub fn max_arity(tree: &Tree) -> usize {
-    tree.node_ids()
-        .map(|n| tree.children(n).len())
-        .max()
-        .unwrap_or(0)
-}
-
-/// Convenience: node id of the deepest leaf (ties broken arbitrarily).
-pub fn deepest_leaf(tree: &Tree) -> NodeId {
-    tree.leaves()
-        .into_iter()
-        .max_by_key(|&l| tree.depth(l))
-        // lint: allow(L001, a Tree is non-empty by construction and so has a leaf)
-        .expect("every tree has a leaf")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,7 +160,7 @@ mod tests {
         assert_eq!(t.len(), 501);
         t.validate().unwrap();
         // Binary: no node has more than 2 children.
-        assert!(max_arity(&t) <= 2);
+        assert!(t.node_ids().all(|n| t.children(n).len() <= 2));
         // Weights within range.
         assert!(t.node_ids().all(|n| (1..=100).contains(&t.weight(n))));
         // Same seed reproduces the tree, different seed differs.
@@ -238,9 +179,9 @@ mod tests {
         assert!(h > 10, "height {h} suspiciously small");
         assert!(h < 500, "height {h} suspiciously large");
         // Both leaves and binary nodes are plentiful.
-        let hist = arity_histogram(&t);
-        assert!(hist[0] > 100);
-        assert!(hist[2] > 100);
+        let arity = |a: usize| t.node_ids().filter(|&n| t.children(n).len() == a).count();
+        assert!(arity(0) > 100);
+        assert!(arity(2) > 100);
     }
 
     #[test]
@@ -267,12 +208,5 @@ mod tests {
         assert_eq!(cat.len(), 4 * 3);
         assert_eq!(cat.leaves().len(), 2 * 4);
         cat.validate().unwrap();
-    }
-
-    #[test]
-    fn deepest_leaf_is_a_leaf() {
-        let t = random_binary_tree(100, 1..=10, 1);
-        let l = deepest_leaf(&t);
-        assert!(t.is_leaf(l));
     }
 }

@@ -49,8 +49,8 @@
 //!   original's ids.
 //!
 //! [`run_experiment`](crate::runner::run_experiment) runs entirely on this
-//! engine; per-worker steal/execute counters and the wall-clock of the run
-//! surface as [`EngineStats`] on
+//! engine; per-worker steal/execute counters, the wall-clock of the run and
+//! the time spent on the copies surface as [`EngineStats`] on
 //! [`ExperimentResults`](crate::runner::ExperimentResults).
 
 use std::collections::BTreeMap;
@@ -104,9 +104,13 @@ pub struct EngineStats {
     pub workers: Vec<WorkerStats>,
     /// Scheduler cells executed (prep tasks excluded).
     pub cells: u64,
-    /// Wall-clock of the whole run, seeding and join included. The only
-    /// machine-dependent field next to the per-cell wall-times.
+    /// Wall-clock of the whole run, seeding and join included. Machine
+    /// dependent, like `copy` and the per-cell wall-times.
     pub elapsed: Duration,
+    /// Wall-clock the caller's thread spent making the postorder-numbered
+    /// copies before the workers started (part of `elapsed`); zero when no
+    /// instance was copied.
+    pub copy: Duration,
 }
 
 impl EngineStats {
@@ -264,9 +268,16 @@ pub(crate) fn run(
     // Copied here, on the caller's thread before the workers start: a copy
     // made by the prep task on a worker raised imbal-t2's peak RSS from 75
     // to 96 MiB.
+    let copy_started = Instant::now();
+    let copies: Vec<Option<Tree>> = instances.iter().map(|(_, t)| postorder_copy(t)).collect();
+    let copy = if copies.iter().any(Option::is_some) {
+        copy_started.elapsed()
+    } else {
+        Duration::ZERO
+    };
     let shared = Shared {
         instances,
-        copies: instances.iter().map(|(_, t)| postorder_copy(t)).collect(),
+        copies,
         config,
         algs,
         prep: (0..n).map(|_| OnceLock::new()).collect(),
@@ -359,6 +370,7 @@ pub(crate) fn run(
         workers: worker_stats,
         cells: shared.cells_run.load(Ordering::Acquire) as u64,
         elapsed: started.elapsed(),
+        copy,
     };
     Ok((results, stats))
 }

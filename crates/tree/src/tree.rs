@@ -122,6 +122,11 @@ impl Tree {
     /// `u64` is rejected with [`TreeError::WeightOverflow`] naming the
     /// lowest such node (children sums are checked first). Slices of
     /// different lengths are rejected with [`TreeError::LengthMismatch`].
+    ///
+    /// O(n): a counting sort by parent lists the children in id order, and
+    /// one DFS derives the postorder, positions, subtree sizes and depths.
+    /// [`TreeError::Cycle`] names the lowest node the DFS never reaches,
+    /// after every weight check.
     pub fn from_parents(weights: &[u64], parents: &[Option<usize>]) -> Result<Self, TreeError> {
         if weights.len() != parents.len() {
             return Err(TreeError::LengthMismatch {
@@ -135,10 +140,6 @@ impl Tree {
         let n = weights.len();
         let mut parent = vec![NO_PARENT; n];
         let mut root = None;
-        // CSR construction by counting sort: count children per node, prefix
-        // sum into offsets, then fill in ascending child-index order (the
-        // same order the old per-node `Vec`s were pushed in).
-        let mut counts = vec![0u32; n + 1];
         for (i, &p) in parents.iter().enumerate() {
             match p {
                 Some(p) => {
@@ -146,7 +147,6 @@ impl Tree {
                         return Err(TreeError::UnknownNode(NodeId::from_index(p)));
                     }
                     parent[i] = NodeId::from_index(p).0;
-                    counts[p] += 1;
                 }
                 None => match root {
                     None => root = Some(NodeId::from_index(i)),
@@ -155,21 +155,8 @@ impl Tree {
             }
         }
         let root = root.ok_or(TreeError::NoRoot)?;
-        let mut child_start = vec![0u32; n + 1];
-        for i in 0..n {
-            child_start[i + 1] = child_start[i] + counts[i];
-        }
-        let mut cursor = child_start.clone();
-        let mut children_flat = vec![NodeId(0); child_start[n] as usize];
-        let mut placed = 0usize;
-        for (i, &p) in parents.iter().enumerate() {
-            if let Some(p) = p {
-                children_flat[cursor[p] as usize] = NodeId::from_index(i);
-                cursor[p] += 1;
-                placed += 1;
-            }
-        }
-        debug_assert_eq!(placed, n - 1, "every non-root node is someone's child");
+        let (child_start, children_flat) = child_lists(&parent);
+        debug_assert_eq!(children_flat.len(), n - 1, "every non-root node is a child");
 
         let mut tree = Tree {
             weights: weights.to_vec(),
@@ -214,35 +201,47 @@ impl Tree {
     /// subtree occupies a contiguous id range that ends at its root, so
     /// bottom-up passes and simulations read the arrays front to back
     /// instead of in the scattered order of, say, a generator's insertion
-    /// ids. One O(n) pass writes the arena directly: no DFS, no
-    /// [`Tree::from_parents`] round trip (whose result the copy is `==`
-    /// to). Renumbering a tree already numbered in postorder returns an
+    /// ids. The copy is `==` to [`Tree::from_parents`] of its own arrays,
+    /// and renumbering a tree already numbered in postorder returns an
     /// equal tree.
+    ///
+    /// One pass over the old ids scatters each weight and mapped parent to
+    /// the new id; no DFS, no gather. Siblings get ascending ids in child
+    /// order, so the counting sort by parent keeps every child list. Every
+    /// child precedes its parent, so one front-to-back pass sums the
+    /// children weights and subtree sizes, and one back-to-front pass gives
+    /// the depths.
     pub fn renumbered_in_postorder(&self) -> Tree {
         let n = self.len();
         // Old id → new id is the postorder position.
         let new_id = &self.postorder_pos;
-        let mut weights = Vec::with_capacity(n);
-        let mut parent = Vec::with_capacity(n);
-        let mut child_start = Vec::with_capacity(n + 1);
-        let mut children_flat = Vec::with_capacity(self.children_flat.len());
-        let mut children_weight = Vec::with_capacity(n);
-        let mut subtree_size = Vec::with_capacity(n);
-        let mut depth = Vec::with_capacity(n);
-        child_start.push(0);
-        for &old in &self.postorder {
-            let i = old.index();
-            weights.push(self.weights[i]);
-            parent.push(match self.parent[i] {
+        let mut weights = vec![0u64; n];
+        let mut parent = vec![NO_PARENT; n];
+        for (i, &v) in new_id.iter().enumerate() {
+            let v = v as usize;
+            weights[v] = self.weights[i];
+            parent[v] = match self.parent[i] {
                 NO_PARENT => NO_PARENT,
                 p => new_id[p as usize],
-            });
-            children_flat.extend(self.children(old).iter().map(|c| NodeId(new_id[c.index()])));
-            // At most one entry per node: the original's u32 offsets fit.
-            child_start.push(children_flat.len() as u32);
-            children_weight.push(self.children_weight[i]);
-            subtree_size.push(self.subtree_size[i]);
-            depth.push(self.depth[i]);
+            };
+        }
+        let (child_start, children_flat) = child_lists(&parent);
+        let mut children_weight = vec![0u64; n];
+        let mut subtree_size = vec![1u32; n];
+        for v in 0..n {
+            let p = parent[v];
+            if p != NO_PARENT {
+                // The original holds this sum in `children_weight`, so it
+                // fits.
+                children_weight[p as usize] += weights[v];
+                subtree_size[p as usize] += subtree_size[v];
+            }
+        }
+        let mut depth = vec![0u32; n];
+        for v in (0..n).rev() {
+            if parent[v] != NO_PARENT {
+                depth[v] = depth[parent[v] as usize] + 1;
+            }
         }
         Tree {
             weights,
@@ -263,11 +262,15 @@ impl Tree {
     /// subtree sizes, depths) from the structural arrays in O(n).
     ///
     /// Doubles as the weight-overflow check (every children sum and the
-    /// running total Σw use `checked_add`) and as the acyclicity check: a
-    /// parent structure with a cycle leaves the cycle's nodes unreachable
-    /// from the root, so the DFS postorder comes up short and the
-    /// lowest-index unreached node is reported — the same node the old
-    /// walk-to-root check blamed.
+    /// running total Σw use `checked_add`, ahead of the traversal) and as
+    /// the acyclicity check: a parent structure with a cycle leaves the
+    /// cycle's nodes unreachable from the root, so the DFS postorder comes
+    /// up short and the lowest-index unreached node is reported — the same
+    /// node the old walk-to-root check blamed.
+    ///
+    /// One DFS derives the rest as it leaves each node: its position is the
+    /// postorder's length, its subtree size that length minus the length on
+    /// entry, plus one, and its depth the number of frames on the stack.
     fn recompute_derived(&mut self) -> Result<(), TreeError> {
         let n = self.len();
         self.children_weight.clear();
@@ -289,25 +292,38 @@ impl Tree {
                 .ok_or(TreeError::WeightOverflow(NodeId::from_index(i)))?;
         }
 
-        // Iterative DFS postorder from the root, children in stored order.
-        self.postorder.clear();
-        self.postorder.reserve(n);
-        let mut stack: Vec<(NodeId, u32)> = Vec::with_capacity(64);
-        stack.push((self.root, 0));
-        while let Some((node, child_idx)) = stack.pop() {
+        // Iterative DFS from the root, children in stored order. A frame
+        // holds its node, the next child to visit and the postorder's length
+        // when the DFS entered the node.
+        let mut postorder = Vec::with_capacity(n);
+        let mut postorder_pos = vec![0u32; n];
+        let mut subtree_size = vec![0u32; n];
+        let mut depth = vec![0u32; n];
+        let mut height = 0u32;
+        let mut stack: Vec<(NodeId, u32, u32)> = Vec::with_capacity(64);
+        stack.push((self.root, 0, 0));
+        while let Some((node, child_idx, entry)) = stack.pop() {
             let kids = self.children(node);
+            let len = postorder.len() as u32;
             if (child_idx as usize) < kids.len() {
                 let child = kids[child_idx as usize];
-                stack.push((node, child_idx + 1));
-                stack.push((child, 0));
+                stack.push((node, child_idx + 1, entry));
+                stack.push((child, 0, len));
             } else {
-                self.postorder.push(node);
+                // The stack holds exactly the node's ancestors.
+                let i = node.index();
+                let d = stack.len() as u32;
+                postorder_pos[i] = len;
+                subtree_size[i] = len - entry + 1;
+                depth[i] = d;
+                height = height.max(d);
+                postorder.push(node);
             }
         }
-        if self.postorder.len() != n {
+        if postorder.len() != n {
             // Some node never reaches the root by parent pointers.
             let mut reached = vec![false; n];
-            for &node in &self.postorder {
+            for &node in &postorder {
                 reached[node.index()] = true;
             }
             let lowest = (0..n)
@@ -316,36 +332,10 @@ impl Tree {
                 .unwrap_or(self.root);
             return Err(TreeError::Cycle(lowest));
         }
-
-        self.postorder_pos.clear();
-        self.postorder_pos.resize(n, 0);
-        for (pos, &node) in self.postorder.iter().enumerate() {
-            self.postorder_pos[node.index()] = pos as u32;
-        }
-
-        // Subtree sizes bottom-up over the postorder (children first).
-        self.subtree_size.clear();
-        self.subtree_size.resize(n, 0);
-        for &node in &self.postorder {
-            let mut size = 1u32;
-            for &c in self.children(node) {
-                size += self.subtree_size[c.index()];
-            }
-            self.subtree_size[node.index()] = size;
-        }
-
-        // Depths top-down over the reversed postorder (parents first).
-        self.depth.clear();
-        self.depth.resize(n, 0);
-        let mut height = 0u32;
-        for &node in self.postorder.iter().rev() {
-            let d = match self.parent(node) {
-                Some(p) => self.depth[p.index()] + 1,
-                None => 0,
-            };
-            self.depth[node.index()] = d;
-            height = height.max(d);
-        }
+        self.postorder = postorder;
+        self.postorder_pos = postorder_pos;
+        self.subtree_size = subtree_size;
+        self.depth = depth;
         self.height = height;
         Ok(())
     }
@@ -686,6 +676,35 @@ impl Tree {
     }
 }
 
+/// The CSR child lists of a parent array (`NO_PARENT` marks the root), by a
+/// counting sort on the parent: every list holds its children in id order.
+fn child_lists(parent: &[u32]) -> (Vec<u32>, Vec<NodeId>) {
+    // Node p's child count goes to `child_start[p + 1]`. The prefix pass
+    // turns it into p's first slot, the sort's cursor, which the fill
+    // leaves at p's end: node p + 1's start.
+    let mut child_start = vec![0u32; parent.len() + 1];
+    for &p in parent {
+        if p != NO_PARENT {
+            child_start[p as usize + 1] += 1;
+        }
+    }
+    let mut start = 0u32;
+    for slot in &mut child_start[1..] {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    let mut children_flat = vec![NodeId(0); start as usize];
+    for (i, &p) in parent.iter().enumerate() {
+        if p != NO_PARENT {
+            let cursor = &mut child_start[p as usize + 1];
+            children_flat[*cursor as usize] = NodeId::from_index(i);
+            *cursor += 1;
+        }
+    }
+    (child_start, children_flat)
+}
+
 /// Incremental builder for [`Tree`] values: the only construction path into
 /// the frozen arena besides [`Tree::from_parents`] (which it delegates to).
 ///
@@ -936,42 +955,110 @@ mod tests {
         );
     }
 
+    /// A splitmix64 draw below `bound`.
+    fn draw(state: &mut u64, bound: usize) -> usize {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % bound as u64) as usize
+    }
+
+    /// A generator's tree rebuilt as this crate's `Tree`. In unit tests the
+    /// generators return the library build's `Tree`, a type that cannot be
+    /// named here, hence a macro.
+    macro_rules! local {
+        ($tree:expr) => {{
+            let t = $tree;
+            let weights: Vec<u64> = t.node_ids().map(|v| t.weight(v)).collect();
+            let parents: Vec<Option<usize>> = t
+                .node_ids()
+                .map(|v| t.parent(v).map(|p| p.index()))
+                .collect();
+            Tree::from_parents(&weights, &parents).unwrap()
+        }};
+    }
+
+    /// Checks the postorder copy of `t` node by node through the map from
+    /// the copy's ids to `t`'s, and against `from_parents` of its arrays.
+    fn assert_renumbering_keeps(t: &Tree) {
+        let copy = t.renumbered_in_postorder();
+        let n = t.len();
+        // Node p of the copy is t.postorder()[p], children in order.
+        let old = |p: NodeId| t.postorder()[p.index()];
+        for p in copy.node_ids() {
+            let o = old(p);
+            assert_eq!(copy.weight(p), t.weight(o));
+            assert_eq!(copy.parent(p).map(old), t.parent(o));
+            assert_eq!(copy.children_weight(p), t.children_weight(o));
+            assert_eq!(copy.subtree_size(p), t.subtree_size(o));
+            assert_eq!(copy.depth(p), t.depth(o));
+            let kids: Vec<NodeId> = copy.children(p).iter().map(|&c| old(c)).collect();
+            assert_eq!(kids, t.children(o));
+        }
+        assert!(copy
+            .postorder()
+            .iter()
+            .enumerate()
+            .all(|(p, n)| n.index() == p));
+        assert_eq!(copy.root(), NodeId::from_index(n - 1));
+        assert_eq!(copy.height(), t.height());
+        let parents: Vec<Option<usize>> = copy
+            .node_ids()
+            .map(|p| copy.parent(p).map(NodeId::index))
+            .collect();
+        assert_eq!(Tree::from_parents(&copy.weights, &parents).unwrap(), copy);
+        assert_eq!(copy.renumbered_in_postorder(), copy);
+        copy.validate().unwrap();
+    }
+
     #[test]
     fn renumbering_in_postorder_keeps_the_tree() {
         let mut spliced = sample();
         spliced.splice_above(NodeId(3), 1);
         spliced.splice_above(spliced.root(), 2);
-        for t in [sample(), spliced] {
-            let copy = t.renumbered_in_postorder();
-            let n = t.len();
-            // Node p of the copy is t.postorder()[p], children in order.
-            for p in copy.node_ids() {
-                let old = t.postorder()[p.index()];
-                assert_eq!(copy.weight(p), t.weight(old));
-                assert_eq!(copy.subtree_size(p), t.subtree_size(old));
-                assert_eq!(copy.depth(p), t.depth(old));
-                let kids: Vec<NodeId> = copy
-                    .children(p)
-                    .iter()
-                    .map(|c| t.postorder()[c.index()])
-                    .collect();
-                assert_eq!(kids, t.children(old));
+        assert_renumbering_keeps(&sample());
+        assert_renumbering_keeps(&spliced);
+
+        // A star with 2^12 leaves, a chain of 10^5 nodes (root 0, so its
+        // postorder reverses the ids) and a Rémy tree at the engine's copy
+        // gate.
+        let star = (0..=1 << 12)
+            .map(|i| (i > 0).then_some(0))
+            .collect::<Vec<_>>();
+        assert_renumbering_keeps(&Tree::from_parents(&vec![3; star.len()], &star).unwrap());
+        let chain = (0..100_000)
+            .map(|i: usize| i.checked_sub(1))
+            .collect::<Vec<_>>();
+        let weights: Vec<u64> = (0..chain.len() as u64).map(|i| 1 + i % 5).collect();
+        assert_renumbering_keeps(&Tree::from_parents(&weights, &chain).unwrap());
+        assert_renumbering_keeps(&local!(oocts_gen::random_binary_tree(1 << 15, 1..=100, 7)));
+
+        // Random splices on Rémy and uniform-attachment trees. A splice puts
+        // the new, highest id in its node's child slot, so child lists leave
+        // id order; the copy must keep their stored order.
+        let mut state = 0x0c0f_fee5_u64;
+        let mut out_of_order = 0;
+        for round in 0..40u64 {
+            let n = 1 + draw(&mut state, 400);
+            let mut t = if round % 2 == 0 {
+                local!(oocts_gen::random_binary_tree(n, 1..=9, round))
+            } else {
+                local!(oocts_gen::uniform_attachment_tree(n, 1..=9, round))
+            };
+            for _ in 0..draw(&mut state, 60) {
+                let target = NodeId::from_index(draw(&mut state, t.len()));
+                let weight = t.weight(target) - draw(&mut state, t.weight(target) as usize) as u64;
+                t.splice_above(target, weight);
             }
-            assert!(copy
-                .postorder()
-                .iter()
-                .enumerate()
-                .all(|(p, n)| n.index() == p));
-            assert_eq!(copy.root(), NodeId::from_index(n - 1));
-            assert_eq!(copy.height(), t.height());
-            let parents: Vec<Option<usize>> = copy
-                .node_ids()
-                .map(|p| copy.parent(p).map(NodeId::index))
-                .collect();
-            assert_eq!(Tree::from_parents(&copy.weights, &parents).unwrap(), copy);
-            assert_eq!(copy.renumbered_in_postorder(), copy);
-            copy.validate().unwrap();
+            if t.node_ids()
+                .any(|v| t.children(v).windows(2).any(|w| w[0] > w[1]))
+            {
+                out_of_order += 1;
+            }
+            assert_renumbering_keeps(&t);
         }
+        assert!(out_of_order >= 10, "{out_of_order} rounds out of id order");
     }
 
     #[test]
@@ -1011,14 +1098,7 @@ mod tests {
     #[test]
     fn random_splices_match_a_full_rebuild() {
         let mut state = 0x5eed_u64;
-        let mut next = |bound: usize| {
-            // splitmix64
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            ((z ^ (z >> 31)) % bound as u64) as usize
-        };
+        let mut next = |bound: usize| draw(&mut state, bound);
         for round in 0..40 {
             let n = 1 + next(30);
             let weights: Vec<u64> = (0..n).map(|_| 1 + next(9) as u64).collect();

@@ -6,7 +6,10 @@
 //! `(weights, parents)` arrays and assert the arena agrees on trees of up to
 //! 10 000 nodes across strongly skewed shapes (chains, stars, power-law
 //! attachment), plus byte-identical round-trips through the corpus text
-//! format.
+//! format. The shapes are drawn with every parent below its child in id
+//! order, and again with the ids relabeled by a random permutation, so
+//! that parents can follow their children, as Rémy's generator numbers
+//! them.
 
 use oocts_gen::corpus::{format_instance, parse_instance};
 use oocts_tree::{NodeId, Tree, TreeBuilder};
@@ -66,11 +69,33 @@ fn raw_tree(max_nodes: usize) -> impl Strategy<Value = (Vec<u64>, Vec<Option<usi
     })
 }
 
+/// [`raw_tree`] with the node ids relabeled by a random permutation: the
+/// root is no longer node 0, and parents may follow their children.
+fn relabeled_tree(max_nodes: usize) -> impl Strategy<Value = (Vec<u64>, Vec<Option<usize>>)> {
+    (raw_tree(max_nodes), 0u64..1 << 32).prop_map(|((weights, parents), seed)| {
+        let n = weights.len();
+        // Fisher–Yates: node i becomes node label[i].
+        let mut state = seed;
+        let mut label: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            label.swap(i, (next(&mut state) % (i as u64 + 1)) as usize);
+        }
+        let mut relabeled_weights = vec![0; n];
+        let mut relabeled_parents = vec![None; n];
+        for i in 0..n {
+            relabeled_weights[label[i]] = weights[i];
+            relabeled_parents[label[i]] = parents[i].map(|p| label[p]);
+        }
+        (relabeled_weights, relabeled_parents)
+    })
+}
+
 /// Naive reference model: every derived quantity recomputed with the most
 /// obvious algorithm, independent of the arena's CSR/postorder machinery.
 struct RefModel {
     weights: Vec<u64>,
     parents: Vec<Option<usize>>,
+    root: usize,
     children: Vec<Vec<usize>>,
     depth: Vec<usize>,
     subtree_size: Vec<usize>,
@@ -86,25 +111,29 @@ impl RefModel {
                 children[p].push(i);
             }
         }
-        // The generators guarantee `parent(i) < i`, so a single index-order
-        // pass computes depths and a reverse pass accumulates subtree sizes.
+        // Walk from every node up to the root: the steps are its depth, and
+        // every node passed counts it in its subtree. No id order assumed.
         let mut depth = vec![0usize; n];
-        for i in 1..n {
-            depth[i] = depth[parents[i].unwrap()] + 1;
-        }
         let mut subtree_size = vec![1usize; n];
-        for i in (1..n).rev() {
-            subtree_size[parents[i].unwrap()] += subtree_size[i];
+        for (i, d) in depth.iter_mut().enumerate() {
+            let mut v = i;
+            while let Some(p) = parents[v] {
+                *d += 1;
+                subtree_size[p] += 1;
+                v = p;
+            }
         }
+        let root = parents.iter().position(Option::is_none).unwrap();
         let mut model = RefModel {
             weights: weights.to_vec(),
             parents: parents.to_vec(),
+            root,
             children,
             depth,
             subtree_size,
             postorder: Vec::with_capacity(n),
         };
-        model.collect_postorder(0);
+        model.collect_postorder(root);
         model
     }
 
@@ -143,7 +172,7 @@ impl RefModel {
 fn assert_matches(tree: &Tree, model: &RefModel) {
     let n = model.weights.len();
     assert_eq!(tree.len(), n);
-    assert_eq!(tree.root(), NodeId(0));
+    assert_eq!(tree.root().index(), model.root);
     tree.validate().unwrap();
 
     // Whole-tree postorder: identical sequence, and `postorder_position` is
@@ -200,6 +229,16 @@ proptest! {
         assert_matches(&tree, &model);
     }
 
+    /// The same on relabeled ids: the arena's one DFS must not rely on
+    /// parents preceding their children.
+    #[test]
+    fn arena_matches_reference_model_relabeled_small(raw in relabeled_tree(64)) {
+        let (weights, parents) = raw;
+        let tree = Tree::from_parents(&weights, &parents).unwrap();
+        let model = RefModel::new(&weights, &parents);
+        assert_matches(&tree, &model);
+    }
+
     /// The corpus text format round-trips byte-identically: format → parse →
     /// re-format reproduces the exact bytes, and the parsed arena equals the
     /// one built by `TreeBuilder` from the same raw arrays.
@@ -232,6 +271,15 @@ proptest! {
     /// and the iterative postorder, stars drive wide CSR rows.
     #[test]
     fn arena_matches_reference_model_large(raw in raw_tree(10_000)) {
+        let (weights, parents) = raw;
+        let tree = Tree::from_parents(&weights, &parents).unwrap();
+        let model = RefModel::new(&weights, &parents);
+        assert_matches(&tree, &model);
+    }
+
+    /// Large skewed trees on relabeled ids.
+    #[test]
+    fn arena_matches_reference_model_relabeled_large(raw in relabeled_tree(10_000)) {
         let (weights, parents) = raw;
         let tree = Tree::from_parents(&weights, &parents).unwrap();
         let model = RefModel::new(&weights, &parents);

@@ -7,9 +7,11 @@
 //! every shape family at the paper's three bounds with every built-in
 //! scheduler, once on the original and once on the copy, and require the
 //! same I/O, peak, expansion statistics and (mapped back) schedule. Then
-//! they run the experiment runner on an instance large enough to be copied.
+//! they run the experiment runner on an instance large enough to be copied,
+//! and check that the engine reports the copy's time only when it makes one.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use oocts::prelude::*;
 use oocts_gen::random::{
@@ -163,4 +165,30 @@ fn runner_reports_large_instances_in_their_own_numbering() {
         assert_eq!(err.instance, "big");
         assert_eq!(err.source, TreeError::NotTopological(big.root()));
     }
+}
+
+#[test]
+fn engine_times_the_copy_only_when_it_makes_one() {
+    let registry = SchedulerRegistry::with_builtins();
+    let config = ExperimentConfig::new(
+        registry
+            .get_list("PostOrderMinIO,OptMinMem,PostOrderMinMem")
+            .unwrap(),
+        MemoryBound::Middle,
+    );
+    let copy_time = |instances: &[(String, Tree)]| {
+        run_experiment(instances, &config)
+            .unwrap()
+            .engine
+            .expect("engine runs carry stats")
+            .copy
+    };
+    let small = |seed| ("small".to_string(), random_binary_tree(300, 1..=100, seed));
+    // One Rémy tree at the gate is copied: its ids are not a postorder.
+    let big = (
+        "big".to_string(),
+        random_binary_tree(RENUMBER_MIN_NODES, 1..=100, 7),
+    );
+    assert!(copy_time(&[big, small(1)]) > Duration::ZERO);
+    assert_eq!(copy_time(&[small(1), small(2)]), Duration::ZERO);
 }
