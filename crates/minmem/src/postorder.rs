@@ -61,13 +61,15 @@ pub fn post_order_min_mem_subtree(tree: &Tree, root: NodeId) -> (Schedule, u64) 
     }
 
     // Emit the postorder that follows the chosen child orders, iteratively.
+    // A frame is (node, next child slot); a child count fits a `u32` as a
+    // node id does, and 8-byte frames keep deep trees' stacks small.
     let mut schedule = Vec::with_capacity(order.len());
-    let mut stack: Vec<(NodeId, usize)> = vec![(root, 0)];
+    let mut stack: Vec<(NodeId, u32)> = vec![(root, 0)];
     while let Some((node, idx)) = stack.pop() {
         let kids = &sorted_children[tree.child_range(node)];
-        if idx < kids.len() {
+        if let Some(&kid) = kids.get(idx as usize) {
             stack.push((node, idx + 1));
-            stack.push((kids[idx], 0));
+            stack.push((kid, 0));
         } else {
             schedule.push(node);
         }

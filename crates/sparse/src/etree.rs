@@ -43,46 +43,15 @@ pub fn elimination_tree(pattern: &SymmetricPattern) -> Vec<Option<usize>> {
     parent
 }
 
-/// Number of roots of the elimination forest (1 for a connected pattern).
-pub fn forest_roots(parent: &[Option<usize>]) -> usize {
-    parent.iter().filter(|p| p.is_none()).count()
-}
-
-/// Depth of the elimination tree/forest (longest root-to-leaf path, in edges).
-pub fn etree_height(parent: &[Option<usize>]) -> usize {
-    let n = parent.len();
-    let mut depth = vec![usize::MAX; n];
-    let mut best = 0;
-    for mut v in 0..n {
-        // Walk up, collecting the path until a node of known depth.
-        let mut path = Vec::new();
-        while depth[v] == usize::MAX {
-            path.push(v);
-            match parent[v] {
-                Some(p) => v = p,
-                None => {
-                    depth[v] = 0;
-                    break;
-                }
-            }
-        }
-        let mut d = depth[v];
-        for &u in path.iter().rev() {
-            if u != v {
-                d += 1;
-            }
-            depth[u] = d;
-            best = best.max(d);
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::{grid_laplacian_2d, random_symmetric};
     use crate::ordering::{nested_dissection_2d, reverse_cuthill_mckee};
+
+    fn roots(parent: &[Option<usize>]) -> usize {
+        parent.iter().filter(|p| p.is_none()).count()
+    }
 
     #[test]
     fn etree_of_a_tridiagonal_matrix_is_a_chain() {
@@ -90,8 +59,6 @@ mod tests {
         let p = SymmetricPattern::from_edges(5, (0..4).map(|i| (i, i + 1)));
         let parent = elimination_tree(&p);
         assert_eq!(parent, vec![Some(1), Some(2), Some(3), Some(4), None]);
-        assert_eq!(forest_roots(&parent), 1);
-        assert_eq!(etree_height(&parent), 4);
     }
 
     #[test]
@@ -105,14 +72,13 @@ mod tests {
             assert_eq!(*par, Some(n - 1));
         }
         assert_eq!(parent[n - 1], None);
-        assert_eq!(etree_height(&parent), 1);
     }
 
     #[test]
     fn disconnected_pattern_gives_a_forest() {
         let p = SymmetricPattern::from_edges(4, [(0, 1), (2, 3)]);
         let parent = elimination_tree(&p);
-        assert_eq!(forest_roots(&parent), 2);
+        assert_eq!(roots(&parent), 2);
     }
 
     #[test]
@@ -121,13 +87,13 @@ mod tests {
         for perm in [reverse_cuthill_mckee(&g), nested_dissection_2d(6, 5)] {
             let q = g.permute(&perm);
             let parent = elimination_tree(&q);
-            assert_eq!(forest_roots(&parent), 1);
+            assert_eq!(roots(&parent), 1);
             // The root is always the last column for a connected matrix.
             assert_eq!(parent[q.order() - 1], None);
         }
         let r = random_symmetric(40, 3.0, 11);
         let parent = elimination_tree(&r);
-        assert_eq!(forest_roots(&parent), 1);
+        assert_eq!(roots(&parent), 1);
     }
 
     #[test]

@@ -14,12 +14,14 @@
 //! 3. [`ordering`] — fill-reducing orderings: reverse Cuthill–McKee, exact
 //!    minimum degree (run on a quotient graph, in O(nnz(A) + n) memory, with
 //!    indistinguishable variables merged into supervariables that share one
-//!    degree recount; the order stays the one the elimination graph gives),
-//!    and nested dissection for grids;
+//!    degree recount, and an indexed heap that holds each one once; the
+//!    order stays the one the elimination graph gives), and nested
+//!    dissection for grids;
 //! 4. [`etree`] — the elimination tree of a (permuted) pattern, via Liu's
 //!    algorithm;
 //! 5. [`symbolic`] — symbolic factorization: the column counts of the
-//!    Cholesky factor;
+//!    Cholesky factor, by Gilbert, Ng and Peyton's method in
+//!    O(nnz(A)·α(nnz(A), n));
 //! 6. [`assembly`] — the multifrontal assembly tree: one task per node (or
 //!    per supernode after amalgamation) whose output datum is the
 //!    contribution block passed to its parent, i.e. exactly the task trees
@@ -46,3 +48,6 @@ pub use ordering::{
 };
 pub use pattern::SymmetricPattern;
 pub use symbolic::column_counts;
+
+#[cfg(test)]
+mod testing;

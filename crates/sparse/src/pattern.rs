@@ -78,7 +78,11 @@ impl SymmetricPattern {
 
     /// Applies a permutation: vertex `i` of the new pattern is vertex
     /// `perm[i]` of the old one (`perm` is the new-to-old ordering, as
-    /// returned by the ordering heuristics).
+    /// returned by the ordering heuristics). New row `i` is old row `perm[i]`
+    /// relabelled, then sorted and deduplicated, as `sort_dedup` would.
+    ///
+    /// # Panics
+    /// If `perm` is not a permutation of `0..n`.
     pub fn permute(&self, perm: &[usize]) -> SymmetricPattern {
         assert_eq!(perm.len(), self.n, "permutation length mismatch");
         let mut inverse = vec![usize::MAX; self.n];
@@ -89,18 +93,20 @@ impl SymmetricPattern {
             );
             inverse[old] = new;
         }
-        let mut out = SymmetricPattern::new(self.n);
-        for (new, &old) in perm.iter().enumerate() {
-            for &nb in self.neighbors(old) {
-                let nb_new = inverse[nb];
-                if nb_new > new {
-                    out.adjacency[new].push(nb_new);
-                    out.adjacency[nb_new].push(new);
-                }
-            }
+        let adjacency = perm
+            .iter()
+            .map(|&old| {
+                let mut row: Vec<usize> =
+                    self.adjacency[old].iter().map(|&nb| inverse[nb]).collect();
+                row.sort_unstable();
+                row.dedup();
+                row
+            })
+            .collect();
+        SymmetricPattern {
+            n: self.n,
+            adjacency,
         }
-        out.sort_dedup();
-        out
     }
 
     /// `true` if the underlying graph is connected (useful for sanity checks:
@@ -129,6 +135,7 @@ impl SymmetricPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::permute_by_edges;
 
     #[test]
     fn from_edges_symmetrizes_and_dedups() {
@@ -151,10 +158,76 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate")]
+    #[should_panic(expected = "permutation contains a duplicate")]
     fn invalid_permutation_is_rejected() {
         let p = SymmetricPattern::from_edges(3, [(0, 1)]);
         p.permute(&[0, 0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation length mismatch")]
+    fn a_permutation_of_the_wrong_length_is_rejected() {
+        let p = SymmetricPattern::from_edges(3, [(0, 1)]);
+        p.permute(&[0, 1]);
+    }
+
+    /// A permutation of `0..n` from a xorshift generator.
+    fn shuffled(n: usize, state: &mut u64) -> Vec<usize> {
+        let mut perm: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            *state ^= *state << 13;
+            *state ^= *state >> 7;
+            *state ^= *state << 17;
+            perm.swap(i, (*state % (i as u64 + 1)) as usize);
+        }
+        perm
+    }
+
+    #[test]
+    fn permute_matches_the_edge_by_edge_reference() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for seed in 0..40u64 {
+            let n = (seed as usize * 37) % 200;
+            let p = crate::generators::random_symmetric(n.max(1), 1.0 + (seed % 5) as f64, seed);
+            for _ in 0..3 {
+                let perm = shuffled(p.order(), &mut state);
+                assert_eq!(p.permute(&perm), permute_by_edges(&p, &perm), "seed {seed}");
+            }
+        }
+        for n in [0, 1] {
+            let p = SymmetricPattern::new(n);
+            assert_eq!(p.permute(&shuffled(n, &mut state)), p);
+        }
+    }
+
+    #[test]
+    fn permute_sorts_and_dedups_rows_left_unsorted() {
+        // Repeated `add_edge` calls and no `sort_dedup`: rows hold
+        // duplicates, out of order.
+        let edges = [
+            (5, 0),
+            (0, 5),
+            (2, 4),
+            (3, 1),
+            (4, 2),
+            (0, 3),
+            (3, 0),
+            (1, 1),
+        ];
+        let mut p = SymmetricPattern::new(6);
+        for (i, j) in edges {
+            p.add_edge(i, j);
+        }
+        assert_eq!(p.neighbors(0), &[5, 5, 3, 3]);
+        let mut state = 7u64;
+        for _ in 0..20 {
+            let perm = shuffled(6, &mut state);
+            let q = p.permute(&perm);
+            assert_eq!(q, permute_by_edges(&p, &perm));
+            let mut sorted = p.clone();
+            sorted.sort_dedup();
+            assert_eq!(q, sorted.permute(&perm));
+        }
     }
 
     #[test]
