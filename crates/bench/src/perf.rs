@@ -29,7 +29,8 @@
 //!       "total_io": 1234,
 //!       "mean_performance": 1.25,
 //!       "max_peak": 560,
-//!       "wall_ms": 12.5
+//!       "wall_ms": 12.5,
+//!       "setup_ms": 3.2
 //!     }
 //!   ]
 //! }
@@ -48,6 +49,10 @@
 //! * `wall_ms` — [`ExperimentResults::total_schedule_time`] in milliseconds:
 //!   the summed scheduling wall-time of the scheduler over all instances.
 //!   Machine-dependent; compare trends, not digits.
+//! * `setup_ms` *(optional)* — the wall-time of building the run's dataset
+//!   (generators, orderings and tree construction), the same in every cell
+//!   of the run. Machine-dependent. Older snapshots lack it; it is checked
+//!   when present.
 //! * `engine` *(optional, schema-compatible addition)* — execution-engine
 //!   statistics of the run that produced the cell, identical across the
 //!   cells of one run:
@@ -96,6 +101,7 @@
 //! [`ExperimentResults::total_schedule_time`]: oocts_profile::runner::ExperimentResults::total_schedule_time
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use oocts_core::registry::SchedulerRegistry;
 use oocts_core::scheduler::{builtin_schedulers, Scheduler};
@@ -178,6 +184,8 @@ struct MatrixRun {
     /// Nodes per tree for SYNTH, scale factor for TREES.
     size: usize,
     instances: Vec<(String, Tree)>,
+    /// Wall-time of building `instances`.
+    setup: Duration,
 }
 
 fn matrix_runs(config: &BenchConfig) -> Vec<MatrixRun> {
@@ -190,6 +198,7 @@ fn matrix_runs(config: &BenchConfig) -> Vec<MatrixRun> {
 
     let mut runs = Vec::new();
     for &(nodes, count) in synth_sizes {
+        let started = Instant::now();
         let ds = synth_dataset(&DatasetConfig {
             synth_instances: count,
             synth_nodes: nodes,
@@ -200,9 +209,11 @@ fn matrix_runs(config: &BenchConfig) -> Vec<MatrixRun> {
             family: "SYNTH",
             size: nodes,
             instances: ds.into_iter().map(|i| (i.name, i.tree)).collect(),
+            setup: started.elapsed(),
         });
     }
     for &scale in trees_scales {
+        let started = Instant::now();
         let ds = trees_dataset(&DatasetConfig {
             synth_instances: 0,
             synth_nodes: 0,
@@ -213,6 +224,7 @@ fn matrix_runs(config: &BenchConfig) -> Vec<MatrixRun> {
             family: "TREES",
             size: scale,
             instances: ds.into_iter().map(|i| (i.name, i.tree)).collect(),
+            setup: started.elapsed(),
         });
     }
     runs
@@ -229,6 +241,7 @@ fn imbalanced_run(config: &BenchConfig) -> MatrixRun {
     } else {
         (1 << 18, 250)
     };
+    let started = Instant::now();
     let mut huge = synth_dataset(&DatasetConfig {
         synth_instances: 1,
         synth_nodes: huge_nodes,
@@ -241,6 +254,7 @@ fn imbalanced_run(config: &BenchConfig) -> MatrixRun {
         trees_scale: 1,
         seed: config.seed.wrapping_add(1),
     });
+    let setup = started.elapsed();
     huge[0].name = "imbal-huge".to_string();
     let mut instances: Vec<(String, Tree)> = huge.into_iter().map(|i| (i.name, i.tree)).collect();
     instances.extend(
@@ -251,6 +265,7 @@ fn imbalanced_run(config: &BenchConfig) -> MatrixRun {
         family: "IMBAL",
         size: huge_nodes,
         instances,
+        setup,
     }
 }
 
@@ -339,7 +354,8 @@ pub fn run_bench(config: &BenchConfig) -> Result<Value, ExperimentError> {
                     .with(
                         "wall_ms",
                         Value::F64(results.total_schedule_time(a).as_secs_f64() * 1e3),
-                    );
+                    )
+                    .with("setup_ms", Value::F64(run.setup.as_secs_f64() * 1e3));
                 if let Some(stats) = engine {
                     cell = cell.with(
                         "engine",
@@ -474,14 +490,8 @@ fn validate_cell(cell: &Value) -> Result<(), String> {
     field("max_peak")?
         .as_u64()
         .ok_or("max_peak: expected a non-negative integer")?;
-    let wall = field("wall_ms")?
-        .as_f64()
-        .ok_or("wall_ms: expected a number")?;
-    if !wall.is_finite() || wall < 0.0 {
-        return Err(format!(
-            "wall_ms: expected a non-negative number, found {wall}"
-        ));
-    }
+    check_ms(cell, "wall_ms", false)?;
+    check_ms(cell, "setup_ms", true)?;
     // `engine` is an optional, schema-compatible addition: absent in
     // pre-engine snapshots, validated when present.
     if let Some(engine) = cell.get("engine") {
@@ -512,19 +522,9 @@ fn validate_engine(engine: &Value) -> Result<(), String> {
             .as_u64()
             .ok_or_else(|| format!("{key}: expected a non-negative integer"))?;
     }
-    for key in ["elapsed_ms", "copy_ms", "cell_wall_ms"] {
-        // `copy_ms` is newer than the committed `BENCH_pr9*.json` and
-        // `BENCH_pr10*.json` snapshots: checked when present, not required.
-        if key == "copy_ms" && engine.get(key).is_none() {
-            continue;
-        }
-        let ms = field(key)?
-            .as_f64()
-            .ok_or_else(|| format!("{key}: expected a number"))?;
-        if !ms.is_finite() || ms < 0.0 {
-            return Err(format!("{key}: expected a non-negative number, found {ms}"));
-        }
-    }
+    check_ms(engine, "elapsed_ms", false)?;
+    check_ms(engine, "copy_ms", true)?;
+    check_ms(engine, "cell_wall_ms", false)?;
     let digest = field("csv_fnv64")?
         .as_str()
         .ok_or("csv_fnv64: expected a string")?;
@@ -537,6 +537,21 @@ fn validate_engine(engine: &Value) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// Checks that `object[key]` is a non-negative number. An `optional` key,
+/// one newer than the committed `BENCH_pr9*.json` and `BENCH_pr10*.json`
+/// snapshots, may be absent.
+fn check_ms(object: &Value, key: &str, optional: bool) -> Result<(), String> {
+    match object.get(key).map(Value::as_f64) {
+        None if optional => Ok(()),
+        None => Err(format!("{key}: missing")),
+        Some(None) => Err(format!("{key}: expected a number")),
+        Some(Some(ms)) if !ms.is_finite() || ms < 0.0 => {
+            Err(format!("{key}: expected a non-negative number, found {ms}"))
+        }
+        Some(Some(_)) => Ok(()),
+    }
 }
 
 /// The instances snapshotted into the golden corpus (`tests/corpus/`):
@@ -616,6 +631,11 @@ mod tests {
         let cells = snapshot.get("cells").unwrap().as_array().unwrap();
         assert_eq!(cells.len(), 3 * 2 * 4);
         assert_eq!(config.file_name(), "BENCH_unit.json");
+        // Every cell carries its run's dataset build time.
+        for cell in cells {
+            let setup = cell.get("setup_ms").and_then(Value::as_f64);
+            assert!(setup.is_some_and(|ms| ms >= 0.0), "{setup:?}");
+        }
 
         // The snapshot survives a serialization round-trip intact.
         let reparsed = Value::parse(&snapshot.render_pretty()).unwrap();
@@ -648,6 +668,26 @@ mod tests {
         bad_cell.set("cells", Value::Array(cells));
         let err = validate_bench(&bad_cell).unwrap_err();
         assert!(err.contains("cells[0].total_io"), "{err}");
+
+        // `setup_ms` is checked when present but not required: the
+        // committed `BENCH_pr9*.json` and `BENCH_pr10*.json` predate it.
+        let with_cell = |edit: &dyn Fn(&mut Value)| {
+            let mut snapshot = good.clone();
+            let mut cells = snapshot.get("cells").unwrap().as_array().unwrap().to_vec();
+            edit(&mut cells[1]);
+            snapshot.set("cells", Value::Array(cells));
+            validate_bench(&snapshot)
+        };
+        let err = with_cell(&|c| c.set("setup_ms", Value::F64(-0.5))).unwrap_err();
+        assert!(err.contains("cells[1].setup_ms"), "{err}");
+        let err = with_cell(&|c| c.set("setup_ms", Value::Str("slow".to_string()))).unwrap_err();
+        assert!(err.contains("cells[1].setup_ms"), "{err}");
+        with_cell(&|c| {
+            if let Value::Object(entries) = c {
+                entries.retain(|(k, _)| k != "setup_ms");
+            }
+        })
+        .expect("setup_ms is optional");
 
         assert!(validate_bench(&Value::Null).is_err());
     }

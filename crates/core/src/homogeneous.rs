@@ -194,7 +194,7 @@ mod tests {
     #[test]
     fn l_labels_of_small_trees() {
         // A leaf has l = 1.
-        let t = Tree::singleton(1);
+        let t = Tree::from_parents(&[1], &[None]).unwrap();
         let lbl = labels(&t, 10).unwrap();
         assert_eq!(lbl.l[0], 1);
 

@@ -40,7 +40,7 @@
 use std::fmt;
 use std::path::Path;
 
-use oocts_tree::{Tree, TreeError};
+use oocts_tree::{Tree, TreeError, NO_PARENT};
 
 use crate::dataset::Instance;
 
@@ -125,6 +125,8 @@ pub fn format_instance(name: &str, tree: &Tree) -> Result<String, CorpusError> {
 /// Strict by design: anything [`format_instance`] would not emit (extra
 /// blank lines, trailing garbage, a node-count mismatch) is an error, which
 /// is what makes round-trips byte-identical.
+/// A parent index of `u32::MAX` or more, which no node id can be, is a
+/// parse error too.
 pub fn parse_instance(text: &str) -> Result<Instance, CorpusError> {
     let mut lines = text.lines().enumerate();
     let mut expect = |what: &str| {
@@ -182,11 +184,12 @@ pub fn parse_instance(text: &str) -> Result<Instance, CorpusError> {
             .split_once(' ')
             .ok_or_else(|| bad("expected `<parent|-> <weight>`"))?;
         let parent = match parent {
-            "-" => None,
-            p => Some(
-                p.parse::<usize>()
-                    .map_err(|_| bad("parent is not an index"))?,
-            ),
+            "-" => NO_PARENT,
+            p => p
+                .parse::<u32>()
+                .ok()
+                .filter(|&p| p != NO_PARENT)
+                .ok_or_else(|| bad("parent is not a node index"))?,
         };
         let weight: u64 = weight.parse().map_err(|_| bad("weight is not a number"))?;
         parents.push(parent);
@@ -198,7 +201,7 @@ pub fn parse_instance(text: &str) -> Result<Instance, CorpusError> {
             message: format!("trailing content {extra:?} after the last node"),
         });
     }
-    let tree = Tree::from_parents(&weights, &parents)?;
+    let tree = Tree::from_parent_ids(weights, parents)?;
     tree.validate()?;
     Ok(Instance { name, tree })
 }
@@ -336,6 +339,29 @@ mod tests {
             }
             other => panic!("expected a parse error at line 5, got {other:?}"),
         }
+    }
+
+    /// A parent index of 2^32 or more used to panic while the tree's
+    /// `UnknownNode` error was built.
+    #[test]
+    fn a_parent_past_the_node_id_range_is_a_located_error() {
+        for parent in ["4294967295", "4294967296", "18446744073709551615"] {
+            let text = format!("oocts-corpus v1\nname p\nnodes 2\n- 1\n{parent} 1\n");
+            match parse_instance(&text) {
+                Err(CorpusError::Parse { line: 5, message }) => {
+                    assert!(message.contains("parent"), "{message}");
+                }
+                other => panic!("{parent}: expected a parse error at line 5, got {other:?}"),
+            }
+        }
+        // A parent id past the last node is still the tree's error.
+        let text = "oocts-corpus v1\nname p\nnodes 2\n- 1\n4294967294 1\n";
+        assert!(matches!(
+            parse_instance(text),
+            Err(CorpusError::Tree(TreeError::UnknownNode(NodeId(
+                4294967294
+            ))))
+        ));
     }
 
     #[test]

@@ -224,7 +224,7 @@ mod tests {
     fn fig2a_exact_instance_has_15_nodes() {
         let (tree, _) = fig2a(8);
         assert_eq!(tree.len(), 15);
-        assert_eq!(tree.leaves().len(), 4);
+        assert_eq!(tree.node_ids().filter(|&v| tree.is_leaf(v)).count(), 4);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use oocts_tree::Tree;
+use oocts_tree::{NodeId, Tree, NO_PARENT};
 
 /// Generates a uniformly random binary tree with `n` nodes (each node has 0,
 /// 1 or 2 children) using Rémy's algorithm, and assigns every node a
@@ -19,14 +19,16 @@ use oocts_tree::Tree;
 /// a side); the new internal node, slot `2t + 1`, is task `t`: it takes x's
 /// parent, and both x and the new external leaf, slot `2t + 2`, take task
 /// `t` as theirs. Every parent is internal, so task `t`'s parent in the
-/// task tree is the entry of slot `2t + 1`. Children are listed in id
-/// order, as [`Tree::from_parents`] lists them. The side, which would only
-/// order a node's children, is drawn to keep the random stream (and so the
-/// weights and every tree) as it was, but not kept.
+/// task tree is the entry of slot `2t + 1`: every other entry from slot 1
+/// on is the task tree's parent array, which goes to
+/// [`Tree::from_parent_ids`] as it is. Children are listed in id order, as
+/// that constructor lists them. The side, which would only order a node's
+/// children, is drawn to keep the random stream (and so the weights and
+/// every tree) as it was, but not kept.
 ///
 /// # Panics
 /// If `n` is 0 (a tree needs at least one node) or above `u32::MAX` (the
-/// range of [`NodeId`](oocts_tree::NodeId)).
+/// range of [`NodeId`]).
 pub fn random_binary_tree(n: usize, weights: std::ops::RangeInclusive<u64>, seed: u64) -> Tree {
     assert!(n >= 1, "a tree needs at least one node");
     assert!(
@@ -44,26 +46,11 @@ pub fn random_binary_tree(n: usize, weights: std::ops::RangeInclusive<u64>, seed
         parent[x] = task;
         parent[internal + 1] = task;
     }
-    let parents: Vec<Option<usize>> = parent[1..]
-        .iter()
-        .step_by(2)
-        .map(|&p| (p != NO_PARENT).then_some(p as usize))
-        .collect();
+    let parents: Vec<u32> = parent[1..].iter().step_by(2).copied().collect();
+    drop(parent);
     let w = random_weights(n, weights, &mut rng);
-    from_parents_infallible(&w, &parents, "Rémy construction always yields a tree")
-}
-
-/// Marks a parentless slot in [`random_binary_tree`].
-const NO_PARENT: u32 = u32::MAX;
-
-/// Finalizes a generator's parent array into a [`Tree`].
-///
-/// Every generator in this module builds `parents` with node 0 (or the
-/// tracked root) as the single parentless node and links that only point at
-/// already-created nodes, so the conversion cannot fail.
-fn from_parents_infallible(weights: &[u64], parents: &[Option<usize>], what: &str) -> Tree {
-    // lint: allow(L001, generators build a single-rooted acyclic parent array by construction)
-    Tree::from_parents(weights, parents).expect(what)
+    // lint: allow(L001, Rémy's slots hold one parentless task and links to tasks created earlier)
+    Tree::from_parent_ids(w, parents).expect("Rémy construction always yields a tree")
 }
 
 /// Draws `n` weights uniformly from the inclusive range.
@@ -78,19 +65,23 @@ pub fn random_weights(
 /// A random tree where the parent of node `i` is chosen uniformly among the
 /// nodes `0..i` ("uniform attachment"): bushier than uniform binary trees,
 /// useful for stress tests and ablations.
+///
+/// # Panics
+/// If `n` is 0 or above `u32::MAX`, as [`random_binary_tree`].
 pub fn uniform_attachment_tree(
     n: usize,
     weights: std::ops::RangeInclusive<u64>,
     seed: u64,
 ) -> Tree {
-    assert!(n >= 1);
+    assert!(n >= 1 && u32::try_from(n).is_ok(), "no tree has {n} nodes");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut parents: Vec<Option<usize>> = vec![None; n];
-    for (i, parent) in parents.iter_mut().enumerate().skip(1) {
-        *parent = Some(rng.random_range(0..i));
+    let mut parents = vec![NO_PARENT; n];
+    for (parent, i) in parents.iter_mut().zip(0u32..).skip(1) {
+        *parent = rng.random_range(0..i);
     }
     let w = random_weights(n, weights, &mut rng);
-    from_parents_infallible(&w, &parents, "uniform attachment always yields a tree")
+    // lint: allow(L001, node 0 is the only root and every other node links to a lower id)
+    Tree::from_parent_ids(w, parents).expect("uniform attachment always yields a tree")
 }
 
 /// A chain (path) of `n` nodes with the given weights, leaf first in the
@@ -98,35 +89,33 @@ pub fn uniform_attachment_tree(
 pub fn chain(weights_leaf_to_root: &[u64]) -> Tree {
     let n = weights_leaf_to_root.len();
     assert!(n >= 1);
-    let mut w = Vec::with_capacity(n);
-    let mut parents = Vec::with_capacity(n);
     // Node 0 = root (last of the slice), node i's parent = i − 1.
-    for (i, &weight) in weights_leaf_to_root.iter().rev().enumerate() {
-        w.push(weight);
-        parents.push(if i == 0 { None } else { Some(i - 1) });
-    }
-    from_parents_infallible(&w, &parents, "chain is a tree")
+    let w = weights_leaf_to_root.iter().rev().copied().collect();
+    let parents = std::iter::once(NO_PARENT)
+        .chain((1..n).map(|i| NodeId::from_index(i - 1).0))
+        .collect();
+    // lint: allow(L001, node 0 is the only root and every other node links to the one before)
+    Tree::from_parent_ids(w, parents).expect("chain is a tree")
 }
 
 /// A complete `k`-ary tree of the given height with constant node weight.
 pub fn complete_kary(arity: usize, height: usize, weight: u64) -> Tree {
     assert!(arity >= 1);
-    let mut weights = vec![weight];
-    let mut parents: Vec<Option<usize>> = vec![None];
-    let mut frontier = vec![0usize];
+    let mut parents = vec![NO_PARENT];
+    let mut frontier = vec![0u32];
     for _ in 0..height {
         let mut next = Vec::new();
         for &p in &frontier {
             for _ in 0..arity {
-                let id = weights.len();
-                weights.push(weight);
-                parents.push(Some(p));
-                next.push(id);
+                next.push(NodeId::from_index(parents.len()).0);
+                parents.push(p);
             }
         }
         frontier = next;
     }
-    from_parents_infallible(&weights, &parents, "complete k-ary tree")
+    let weights = vec![weight; parents.len()];
+    // lint: allow(L001, node 0 is the only root and every other node links to a lower id)
+    Tree::from_parent_ids(weights, parents).expect("complete k-ary tree")
 }
 
 /// A caterpillar: a spine of `spine` nodes, each carrying `legs` leaf
@@ -134,20 +123,21 @@ pub fn complete_kary(arity: usize, height: usize, weight: u64) -> Tree {
 pub fn caterpillar(spine: usize, legs: usize, spine_weight: u64, leaf_weight: u64) -> Tree {
     assert!(spine >= 1);
     let mut weights = Vec::new();
-    let mut parents: Vec<Option<usize>> = Vec::new();
-    let mut prev: Option<usize> = None;
+    let mut parents = Vec::new();
+    let mut prev = NO_PARENT;
     for _ in 0..spine {
-        let id = weights.len();
+        let id = NodeId::from_index(weights.len()).0;
         weights.push(spine_weight);
         parents.push(prev);
         for _ in 0..legs {
             weights.push(leaf_weight);
-            parents.push(Some(id));
+            parents.push(id);
         }
-        prev = Some(id);
+        prev = id;
     }
     // `prev` chain built root-first: node 0 is the root.
-    from_parents_infallible(&weights, &parents, "caterpillar is a tree")
+    // lint: allow(L001, node 0 is the only root and every other node links to a lower id)
+    Tree::from_parent_ids(weights, parents).expect("caterpillar is a tree")
 }
 
 #[cfg(test)]
@@ -194,19 +184,20 @@ mod tests {
 
     #[test]
     fn chain_and_kary_and_caterpillar() {
+        let leaves = |t: &Tree| t.node_ids().filter(|&v| t.is_leaf(v)).count();
         let c = chain(&[4, 3, 2, 1]);
         assert_eq!(c.len(), 4);
         assert_eq!(c.weight(c.root()), 1);
         assert_eq!(c.height(), 3);
-        assert_eq!(c.leaves().len(), 1);
+        assert_eq!(leaves(&c), 1);
 
         let k = complete_kary(3, 2, 5);
         assert_eq!(k.len(), 1 + 3 + 9);
-        assert_eq!(k.leaves().len(), 9);
+        assert_eq!(leaves(&k), 9);
 
         let cat = caterpillar(4, 2, 1, 7);
         assert_eq!(cat.len(), 4 * 3);
-        assert_eq!(cat.leaves().len(), 2 * 4);
+        assert_eq!(leaves(&cat), 2 * 4);
         cat.validate().unwrap();
     }
 }

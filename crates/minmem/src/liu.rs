@@ -231,7 +231,7 @@ mod tests {
 
     #[test]
     fn singleton_tree() {
-        let t = Tree::singleton(7);
+        let t = Tree::from_parents(&[7], &[None]).unwrap();
         let (s, peak) = opt_min_mem(&t);
         assert_eq!(peak, 7);
         assert_eq!(s.len(), 1);

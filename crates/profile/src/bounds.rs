@@ -115,7 +115,7 @@ mod tests {
 
     #[test]
     fn uninteresting_instance_collapses() {
-        let t = Tree::singleton(5);
+        let t = Tree::from_parents(&[5], &[None]).unwrap();
         let b = MemoryBounds::of(&t);
         assert_eq!(b.lower_bound, 5);
         assert_eq!(b.peak_incore, 5);

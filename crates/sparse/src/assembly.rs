@@ -9,7 +9,7 @@
 //!
 //! This module turns a (permuted) sparsity pattern into such a task tree.
 
-use oocts_tree::{Tree, TreeError};
+use oocts_tree::{NodeId, Tree, TreeError, NO_PARENT};
 
 use crate::etree::elimination_tree;
 use crate::pattern::SymmetricPattern;
@@ -89,41 +89,38 @@ pub fn assembly_tree(
     }
 
     // Build the task list: one task per representative column.
-    let mut task_of = vec![usize::MAX; n];
+    let mut task_of = vec![u32::MAX; n];
     let mut weights = Vec::new();
     let mut reps = Vec::new();
     for j in 0..n {
         if representative[j] == j {
-            task_of[j] = weights.len();
+            task_of[j] = NodeId::from_index(weights.len()).0;
             weights.push(weight_of(j));
             reps.push(j);
         }
     }
     // Parent of a task: the task of the representative of the parent column
     // of its representative column.
-    let mut parents: Vec<Option<usize>> = Vec::with_capacity(weights.len());
-    for &j in &reps {
-        let p = parent[j].map(|p| task_of[representative[p]]);
-        parents.push(p);
-    }
+    let mut parents: Vec<u32> = reps
+        .iter()
+        .map(|&j| parent[j].map_or(NO_PARENT, |p| task_of[representative[p]]))
+        .collect();
 
     // If the elimination structure is a forest, bind the roots under one
     // virtual root task of weight 1.
-    let roots: Vec<usize> = parents
-        .iter()
-        .enumerate()
-        .filter_map(|(t, p)| if p.is_none() { Some(t) } else { None })
+    let roots: Vec<usize> = (0..parents.len())
+        .filter(|&t| parents[t] == NO_PARENT)
         .collect();
     if roots.len() > 1 {
-        let virtual_root = weights.len();
+        let virtual_root = NodeId::from_index(weights.len()).0;
         weights.push(1);
-        parents.push(None);
+        parents.push(NO_PARENT);
         for r in roots {
-            parents[r] = Some(virtual_root);
+            parents[r] = virtual_root;
         }
     }
 
-    Tree::from_parents(&weights, &parents)
+    Tree::from_parent_ids(weights, parents)
 }
 
 #[cfg(test)]
@@ -145,7 +142,7 @@ mod tests {
         .unwrap();
         assert_eq!(t.len(), 6);
         // Every non-root node has exactly one child except the deepest leaf.
-        assert_eq!(t.leaves().len(), 1);
+        assert_eq!(t.node_ids().filter(|&v| t.is_leaf(v)).count(), 1);
         // Contribution blocks of a tridiagonal matrix are 1×1 ⇒ weight 1.
         assert!(t.node_ids().all(|n| t.weight(n) == 1));
     }
@@ -183,7 +180,12 @@ mod tests {
         let t = assembly_tree(&q, AssemblyOptions::default()).unwrap();
         assert_eq!(t.weight(t.root()), 1, "the last pivot has an empty block");
         let max_w = t.node_ids().map(|n| t.weight(n)).max().unwrap();
-        let max_leaf_w = t.leaves().iter().map(|&l| t.weight(l)).max().unwrap();
+        let max_leaf_w = t
+            .node_ids()
+            .filter(|&v| t.is_leaf(v))
+            .map(|l| t.weight(l))
+            .max()
+            .unwrap();
         // The heaviest datum belongs to a top-separator column and dwarfs the
         // leaves.
         assert!(

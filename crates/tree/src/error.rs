@@ -18,6 +18,9 @@ pub enum TreeError {
     },
     /// A node references a parent that does not exist.
     UnknownNode(NodeId),
+    /// This node's parent index is `u32::MAX` or more, which no node id
+    /// can be.
+    ParentOutOfRange(NodeId),
     /// More than one node has no parent.
     MultipleRoots(NodeId, NodeId),
     /// No node without a parent was found (the parent relation has a cycle).
@@ -89,6 +92,7 @@ impl TreeError {
         use TreeError::*;
         match self {
             UnknownNode(n) => UnknownNode(map(n)),
+            ParentOutOfRange(n) => ParentOutOfRange(map(n)),
             MultipleRoots(a, b) => MultipleRoots(map(a), map(b)),
             Cycle(n) => Cycle(map(n)),
             NotTopological(n) => NotTopological(map(n)),
@@ -135,6 +139,7 @@ impl fmt::Display for TreeError {
                 "{weights} weights but {parents} parent entries: one of each per node"
             ),
             TreeError::UnknownNode(n) => write!(f, "unknown node {n:?}"),
+            TreeError::ParentOutOfRange(n) => write!(f, "parent of {n:?} is past every node id"),
             TreeError::MultipleRoots(a, b) => {
                 write!(f, "multiple roots: {a:?} and {b:?}")
             }

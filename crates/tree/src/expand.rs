@@ -61,21 +61,6 @@ impl ExpandedTree {
         &self.tree
     }
 
-    /// Number of nodes of the original tree.
-    pub fn original_len(&self) -> usize {
-        self.original_len
-    }
-
-    /// The original node a node of the expanded tree descends from.
-    pub fn origin(&self, node: NodeId) -> NodeId {
-        self.origin[node.index()]
-    }
-
-    /// Amount of I/O forced so far on the output of original node `node`.
-    pub fn forced_io_of(&self, node: NodeId) -> u64 {
-        self.forced_io[node.index()]
-    }
-
     /// Total amount of I/O forced by all expansions performed so far
     /// (the paper charges exactly this volume to `FullRecExpand`).
     pub fn total_forced_io(&self) -> u64 {
@@ -157,11 +142,11 @@ mod tests {
         assert_eq!(et.parent(a), Some(mid));
         assert_eq!(et.parent(mid), Some(top));
         assert_eq!(et.parent(top), Some(NodeId(0)));
-        assert_eq!(ex.origin(mid), a);
-        assert_eq!(ex.origin(top), a);
+        assert_eq!(ex.origin[mid.index()], a);
+        assert_eq!(ex.origin[top.index()], a);
         assert_eq!(ex.total_forced_io(), 3);
         assert_eq!(ex.expansions(), 1);
-        assert_eq!(ex.forced_io_of(a), 3);
+        assert_eq!(ex.forced_io[a.index()], 3);
     }
 
     #[test]
@@ -174,7 +159,7 @@ mod tests {
         // of the same datum to disk.
         ex.expand(mid, 2);
         assert_eq!(ex.total_forced_io(), 5);
-        assert_eq!(ex.forced_io_of(a), 5);
+        assert_eq!(ex.forced_io[a.index()], 5);
         assert_eq!(ex.expansions(), 2);
         ex.tree().validate().unwrap();
     }

@@ -47,4 +47,4 @@ pub use simulate::{
     check_traversal, fif_io, fif_io_with, memory_profile, peak_memory, FifScratch, IoResult,
     MemoryProfile,
 };
-pub use tree::{NodeId, Tree, TreeBuilder};
+pub use tree::{NodeId, Tree, TreeBuilder, NO_PARENT};

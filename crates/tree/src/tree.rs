@@ -53,8 +53,10 @@ use crate::error::TreeError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct NodeId(pub u32);
 
-/// Sentinel parent index of the root node in the flat parent array.
-const NO_PARENT: u32 = u32::MAX;
+/// The root's entry in the parent array that [`Tree::from_parent_ids`]
+/// takes and the arena keeps: `u32::MAX`, above every node id of a tree of
+/// at most `u32::MAX` nodes.
+pub const NO_PARENT: u32 = u32::MAX;
 
 impl NodeId {
     /// The node id as a `usize` index.
@@ -113,21 +115,57 @@ pub struct Tree {
 }
 
 impl Tree {
-    /// Builds a tree from a parent array.
+    /// Builds a tree from a parent array in the arena's own format, moving
+    /// both arrays into the arena.
     ///
-    /// `parents[i]` is the parent of node `i` (or `None` for the root);
-    /// `weights[i]` is the size of node `i`'s output datum. Exactly one node
-    /// must have no parent, and the weights must be summable: a node whose
-    /// children weights, or a prefix of `weights` whose total, overflows
-    /// `u64` is rejected with [`TreeError::WeightOverflow`] naming the
-    /// lowest such node (children sums are checked first). Slices of
-    /// different lengths are rejected with [`TreeError::LengthMismatch`].
+    /// `parents[i]` is the id of node `i`'s parent, [`NO_PARENT`] for the
+    /// root; `weights[i]` is the size of node `i`'s output datum. The first
+    /// fault found is the error, checked in this order:
+    /// [`TreeError::LengthMismatch`], [`TreeError::Empty`], then in index
+    /// order [`TreeError::UnknownNode`] (a parent id at or past `len()`) and
+    /// [`TreeError::MultipleRoots`], then [`TreeError::NoRoot`];
+    /// [`TreeError::WeightOverflow`] naming the lowest node whose children
+    /// weights overflow `u64`, then the lowest node at which the running
+    /// total of `weights` does; [`TreeError::Cycle`] naming the lowest node
+    /// that does not reach the root.
     ///
-    /// O(n): a counting sort by parent lists the children in id order, and
-    /// one DFS derives the postorder, positions, subtree sizes and depths.
-    /// [`TreeError::Cycle`] names the lowest node the DFS never reaches,
-    /// after every weight check.
+    /// O(n), and every node-sized array it allocates is part of the arena:
+    /// one counting sort by parent lists the children in id order and sums
+    /// their weights, and one DFS derives the postorder, positions, subtree
+    /// sizes and depths.
+    pub fn from_parent_ids(weights: Vec<u64>, parents: Vec<u32>) -> Result<Self, TreeError> {
+        Tree::build(weights, parents, None)
+    }
+
+    /// Builds a tree from borrowed arrays with `None` for the root's
+    /// parent, through [`Tree::from_parent_ids`] and with its errors. A
+    /// parent index of `u32::MAX` or more, which no node id can be, is
+    /// [`TreeError::ParentOutOfRange`] naming the node, in its place in
+    /// index order.
     pub fn from_parents(weights: &[u64], parents: &[Option<usize>]) -> Result<Self, TreeError> {
+        let mut stray = None;
+        let mut ids = Vec::with_capacity(parents.len());
+        for (i, p) in parents.iter().enumerate() {
+            ids.push(match p.map(u32::try_from) {
+                None => NO_PARENT,
+                Some(Ok(id)) if id != NO_PARENT => id,
+                Some(_) => {
+                    stray = stray.or(Some(i));
+                    NO_PARENT
+                }
+            });
+        }
+        Tree::build(weights.to_vec(), ids, stray)
+    }
+
+    /// [`Tree::from_parent_ids`], where node `stray`, if any, has a parent
+    /// that no id can name (its entry does not count): the parent checks
+    /// stop there with [`TreeError::ParentOutOfRange`].
+    fn build(
+        mut weights: Vec<u64>,
+        mut parents: Vec<u32>,
+        stray: Option<usize>,
+    ) -> Result<Self, TreeError> {
         if weights.len() != parents.len() {
             return Err(TreeError::LengthMismatch {
                 weights: weights.len(),
@@ -138,32 +176,33 @@ impl Tree {
             return Err(TreeError::Empty);
         }
         let n = weights.len();
-        let mut parent = vec![NO_PARENT; n];
-        let mut root = None;
-        for (i, &p) in parents.iter().enumerate() {
-            match p {
-                Some(p) => {
-                    if p >= n {
-                        return Err(TreeError::UnknownNode(NodeId::from_index(p)));
-                    }
-                    parent[i] = NodeId::from_index(p).0;
-                }
-                None => match root {
-                    None => root = Some(NodeId::from_index(i)),
-                    Some(r) => return Err(TreeError::MultipleRoots(r, NodeId::from_index(i))),
-                },
-            }
+        let root = find_root(&parents[..stray.unwrap_or(n)], n)?;
+        if let Some(node) = stray {
+            return Err(TreeError::ParentOutOfRange(NodeId::from_index(node)));
         }
         let root = root.ok_or(TreeError::NoRoot)?;
-        let (child_start, children_flat) = child_lists(&parent);
+        let (child_start, children_flat, children_weight, overflow) =
+            child_lists(&parents, &weights);
         debug_assert_eq!(children_flat.len(), n - 1, "every non-root node is a child");
-
+        if overflow != NO_PARENT {
+            return Err(TreeError::WeightOverflow(NodeId(overflow)));
+        }
+        let mut total = 0u64;
+        for (i, &w) in weights.iter().enumerate() {
+            total = total
+                .checked_add(w)
+                .ok_or(TreeError::WeightOverflow(NodeId::from_index(i)))?;
+        }
+        // A builder that grew its arrays by `push` hands over spare
+        // capacity; the arena keeps one entry per node.
+        weights.shrink_to_fit();
+        parents.shrink_to_fit();
         let mut tree = Tree {
-            weights: weights.to_vec(),
-            parent,
+            weights,
+            parent: parents,
             child_start,
             children_flat,
-            children_weight: Vec::new(),
+            children_weight,
             postorder: Vec::new(),
             postorder_pos: Vec::new(),
             subtree_size: Vec::new(),
@@ -175,23 +214,6 @@ impl Tree {
         Ok(tree)
     }
 
-    /// Builds a single-node tree (just a root of the given weight).
-    pub fn singleton(weight: u64) -> Self {
-        Tree {
-            weights: vec![weight],
-            parent: vec![NO_PARENT],
-            child_start: vec![0, 0],
-            children_flat: Vec::new(),
-            children_weight: vec![0],
-            postorder: vec![NodeId(0)],
-            postorder_pos: vec![0],
-            subtree_size: vec![1],
-            depth: vec![0],
-            height: 0,
-            root: NodeId(0),
-        }
-    }
-
     /// The same tree with its nodes renumbered in postorder: node `p` of the
     /// copy is `self.postorder()[p]`, so mapping a node id of the copy
     /// through `self.postorder()` gives back the original node.
@@ -201,16 +223,16 @@ impl Tree {
     /// subtree occupies a contiguous id range that ends at its root, so
     /// bottom-up passes and simulations read the arrays front to back
     /// instead of in the scattered order of, say, a generator's insertion
-    /// ids. The copy is `==` to [`Tree::from_parents`] of its own arrays,
-    /// and renumbering a tree already numbered in postorder returns an
-    /// equal tree.
+    /// ids. The copy is `==` to [`Tree::from_parent_ids`] of its own
+    /// arrays, and renumbering a tree already numbered in postorder returns
+    /// an equal tree.
     ///
     /// One pass over the old ids scatters each weight and mapped parent to
     /// the new id; no DFS, no gather. Siblings get ascending ids in child
-    /// order, so the counting sort by parent keeps every child list. Every
-    /// child precedes its parent, so one front-to-back pass sums the
-    /// children weights and subtree sizes, and one back-to-front pass gives
-    /// the depths.
+    /// order, so the counting sort by parent keeps every child list, and it
+    /// sums the children weights. Every child precedes its parent, so one
+    /// front-to-back pass sums the subtree sizes, and one back-to-front pass
+    /// gives the depths.
     pub fn renumbered_in_postorder(&self) -> Tree {
         let n = self.len();
         // Old id → new id is the postorder position.
@@ -225,15 +247,12 @@ impl Tree {
                 p => new_id[p as usize],
             };
         }
-        let (child_start, children_flat) = child_lists(&parent);
-        let mut children_weight = vec![0u64; n];
+        // The original holds every children sum, so none overflows.
+        let (child_start, children_flat, children_weight, _) = child_lists(&parent, &weights);
         let mut subtree_size = vec![1u32; n];
         for v in 0..n {
             let p = parent[v];
             if p != NO_PARENT {
-                // The original holds this sum in `children_weight`, so it
-                // fits.
-                children_weight[p as usize] += weights[v];
                 subtree_size[p as usize] += subtree_size[v];
             }
         }
@@ -258,40 +277,19 @@ impl Tree {
         }
     }
 
-    /// Rebuilds every derived array (children weights, postorder, positions,
-    /// subtree sizes, depths) from the structural arrays in O(n).
+    /// Rebuilds the traversal arrays (postorder, positions, subtree sizes,
+    /// depths, height) from the child lists in O(n).
     ///
-    /// Doubles as the weight-overflow check (every children sum and the
-    /// running total Σw use `checked_add`, ahead of the traversal) and as
-    /// the acyclicity check: a parent structure with a cycle leaves the
-    /// cycle's nodes unreachable from the root, so the DFS postorder comes
-    /// up short and the lowest-index unreached node is reported — the same
-    /// node the old walk-to-root check blamed.
+    /// Doubles as the acyclicity check: a parent structure with a cycle
+    /// leaves the cycle's nodes unreachable from the root, so the DFS
+    /// postorder comes up short and the lowest-index unreached node is
+    /// reported — the same node the old walk-to-root check blamed.
     ///
-    /// One DFS derives the rest as it leaves each node: its position is the
-    /// postorder's length, its subtree size that length minus the length on
-    /// entry, plus one, and its depth the number of frames on the stack.
+    /// One DFS derives every array as it leaves each node: its position is
+    /// the postorder's length, its subtree size that length minus the length
+    /// on entry, plus one, and its depth the number of frames on the stack.
     fn recompute_derived(&mut self) -> Result<(), TreeError> {
         let n = self.len();
-        self.children_weight.clear();
-        self.children_weight.resize(n, 0);
-        for i in 0..n {
-            let node = NodeId::from_index(i);
-            let mut sum = 0u64;
-            for &c in self.children(node) {
-                sum = sum
-                    .checked_add(self.weights[c.index()])
-                    .ok_or(TreeError::WeightOverflow(node))?;
-            }
-            self.children_weight[i] = sum;
-        }
-        let mut total = 0u64;
-        for (i, &w) in self.weights.iter().enumerate() {
-            total = total
-                .checked_add(w)
-                .ok_or(TreeError::WeightOverflow(NodeId::from_index(i)))?;
-        }
-
         // Iterative DFS from the root, children in stored order. A frame
         // holds its node, the next child to visit and the postorder's length
         // when the DFS entered the node.
@@ -413,11 +411,6 @@ impl Tree {
         (0..self.len()).map(NodeId::from_index)
     }
 
-    /// All leaves of the tree.
-    pub fn leaves(&self) -> Vec<NodeId> {
-        self.node_ids().filter(|&n| self.is_leaf(n)).collect()
-    }
-
     /// Sum of the children output sizes of `node` (precomputed: O(1)).
     // lint: no_alloc
     #[inline]
@@ -447,11 +440,6 @@ impl Tree {
         self.weights.iter().sum()
     }
 
-    /// Maximum node weight.
-    pub fn max_weight(&self) -> u64 {
-        self.weights.iter().copied().max().unwrap_or(0)
-    }
-
     /// Number of nodes in the subtree rooted at `node` (including `node`);
     /// precomputed, O(1).
     // lint: no_alloc
@@ -472,21 +460,6 @@ impl Tree {
         let end = self.postorder_pos[node.index()] as usize + 1;
         let start = end - self.subtree_size[node.index()] as usize;
         &self.postorder[start..end]
-    }
-
-    /// The nodes of the subtree rooted at `node`, in DFS preorder.
-    ///
-    /// Allocates the result; prefer [`Tree::subtree_postorder`] (a slice of
-    /// the precomputed arena) when the order within the subtree is
-    /// topological-first anyway.
-    pub fn subtree_nodes(&self, node: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::with_capacity(self.subtree_size(node));
-        let mut stack = vec![node];
-        while let Some(n) = stack.pop() {
-            out.push(n);
-            stack.extend(self.children(n).iter().copied());
-        }
-        out
     }
 
     /// Postorder over the whole tree (children before parents); precomputed,
@@ -676,9 +649,33 @@ impl Tree {
     }
 }
 
-/// The CSR child lists of a parent array (`NO_PARENT` marks the root), by a
-/// counting sort on the parent: every list holds its children in id order.
-fn child_lists(parent: &[u32]) -> (Vec<u32>, Vec<NodeId>) {
+/// The root of a parent array over `n` nodes, checked in index order: the
+/// first parent id at or past `n` is [`TreeError::UnknownNode`] and a
+/// second root [`TreeError::MultipleRoots`]. `None` if no node is a root.
+fn find_root(parents: &[u32], n: usize) -> Result<Option<NodeId>, TreeError> {
+    let mut root = None;
+    for (i, &p) in parents.iter().enumerate() {
+        if p == NO_PARENT {
+            match root {
+                None => root = Some(NodeId::from_index(i)),
+                Some(r) => return Err(TreeError::MultipleRoots(r, NodeId::from_index(i))),
+            }
+        } else if p as usize >= n {
+            return Err(TreeError::UnknownNode(NodeId(p)));
+        }
+    }
+    Ok(root)
+}
+
+/// The CSR child lists of a parent array (`NO_PARENT` marks the root) and
+/// every node's children weight, by one counting sort on the parent: every
+/// list holds its children in id order.
+///
+/// The fill meets the parents in child-id order, not in parent order, so it
+/// does not stop at the first children sum that overflows `u64`: the last
+/// value is the lowest parent whose sum overflows (whose entry then falls
+/// short), or `NO_PARENT`.
+fn child_lists(parent: &[u32], weights: &[u64]) -> (Vec<u32>, Vec<NodeId>, Vec<u64>, u32) {
     // Node p's child count goes to `child_start[p + 1]`. The prefix pass
     // turns it into p's first slot, the sort's cursor, which the fill
     // leaves at p's end: node p + 1's start.
@@ -695,18 +692,25 @@ fn child_lists(parent: &[u32]) -> (Vec<u32>, Vec<NodeId>) {
         start += count;
     }
     let mut children_flat = vec![NodeId(0); start as usize];
-    for (i, &p) in parent.iter().enumerate() {
+    let mut children_weight = vec![0u64; parent.len()];
+    let mut overflow = NO_PARENT;
+    for (i, (&p, &w)) in parent.iter().zip(weights).enumerate() {
         if p != NO_PARENT {
             let cursor = &mut child_start[p as usize + 1];
             children_flat[*cursor as usize] = NodeId::from_index(i);
             *cursor += 1;
+            let sum = &mut children_weight[p as usize];
+            match sum.checked_add(w) {
+                Some(s) => *sum = s,
+                None => overflow = overflow.min(p),
+            }
         }
     }
-    (child_start, children_flat)
+    (child_start, children_flat, children_weight, overflow)
 }
 
-/// Incremental builder for [`Tree`] values: the only construction path into
-/// the frozen arena besides [`Tree::from_parents`] (which it delegates to).
+/// Incremental builder for [`Tree`] values, over [`Tree::from_parent_ids`]
+/// (which [`TreeBuilder::build`] hands its arrays to).
 ///
 /// ```
 /// use oocts_tree::TreeBuilder;
@@ -723,7 +727,9 @@ fn child_lists(parent: &[u32]) -> (Vec<u32>, Vec<NodeId>) {
 #[derive(Debug, Default, Clone)]
 pub struct TreeBuilder {
     weights: Vec<u64>,
-    parents: Vec<Option<usize>>,
+    parents: Vec<u32>,
+    /// The first node added under `NodeId(NO_PARENT)`, which names no node.
+    stray: Option<usize>,
 }
 
 impl TreeBuilder {
@@ -732,25 +738,20 @@ impl TreeBuilder {
         Self::default()
     }
 
-    /// Creates an empty builder with capacity for `n` nodes.
-    pub fn with_capacity(n: usize) -> Self {
-        TreeBuilder {
-            weights: Vec::with_capacity(n),
-            parents: Vec::with_capacity(n),
-        }
-    }
-
     /// Adds the root node. Must be called exactly once.
     pub fn add_root(&mut self, weight: u64) -> NodeId {
-        self.push(weight, None)
+        self.push(weight, NO_PARENT)
     }
 
     /// Adds a child of `parent` with the given output size.
     pub fn add_child(&mut self, parent: NodeId, weight: u64) -> NodeId {
-        self.push(weight, Some(parent.index()))
+        if parent.0 == NO_PARENT {
+            self.stray = self.stray.or(Some(self.len()));
+        }
+        self.push(weight, parent.0)
     }
 
-    fn push(&mut self, weight: u64, parent: Option<usize>) -> NodeId {
+    fn push(&mut self, weight: u64, parent: u32) -> NodeId {
         let id = NodeId::from_index(self.weights.len());
         self.weights.push(weight);
         self.parents.push(parent);
@@ -767,9 +768,10 @@ impl TreeBuilder {
         self.weights.is_empty()
     }
 
-    /// Finalizes the frozen arena tree.
+    /// Finalizes the frozen arena tree, with the errors of
+    /// [`Tree::from_parents`].
     pub fn build(self) -> Result<Tree, TreeError> {
-        Tree::from_parents(&self.weights, &self.parents)
+        Tree::build(self.weights, self.parents, self.stray)
     }
 }
 
@@ -861,9 +863,9 @@ mod tests {
         assert_eq!(t.parent(NodeId(2)), Some(NodeId(1)));
         assert!(t.is_leaf(NodeId(2)));
         assert!(!t.is_leaf(NodeId(0)));
-        assert_eq!(t.leaves(), vec![NodeId(2), NodeId(3)]);
+        let leaves: Vec<NodeId> = t.node_ids().filter(|&v| t.is_leaf(v)).collect();
+        assert_eq!(leaves, [NodeId(2), NodeId(3)]);
         assert_eq!(t.total_weight(), 14);
-        assert_eq!(t.max_weight(), 5);
         assert_eq!(t.height(), 2);
         assert_eq!(t.depth(NodeId(2)), 2);
         t.validate().unwrap();
@@ -971,16 +973,16 @@ mod tests {
         ($tree:expr) => {{
             let t = $tree;
             let weights: Vec<u64> = t.node_ids().map(|v| t.weight(v)).collect();
-            let parents: Vec<Option<usize>> = t
+            let parents: Vec<u32> = t
                 .node_ids()
-                .map(|v| t.parent(v).map(|p| p.index()))
+                .map(|v| t.parent(v).map_or(NO_PARENT, |p| p.0))
                 .collect();
-            Tree::from_parents(&weights, &parents).unwrap()
+            Tree::from_parent_ids(weights, parents).unwrap()
         }};
     }
 
     /// Checks the postorder copy of `t` node by node through the map from
-    /// the copy's ids to `t`'s, and against `from_parents` of its arrays.
+    /// the copy's ids to `t`'s, and against `from_parent_ids` of its arrays.
     fn assert_renumbering_keeps(t: &Tree) {
         let copy = t.renumbered_in_postorder();
         let n = t.len();
@@ -1003,11 +1005,8 @@ mod tests {
             .all(|(p, n)| n.index() == p));
         assert_eq!(copy.root(), NodeId::from_index(n - 1));
         assert_eq!(copy.height(), t.height());
-        let parents: Vec<Option<usize>> = copy
-            .node_ids()
-            .map(|p| copy.parent(p).map(NodeId::index))
-            .collect();
-        assert_eq!(Tree::from_parents(&copy.weights, &parents).unwrap(), copy);
+        let rebuilt = Tree::from_parent_ids(copy.weights.clone(), copy.parent.clone());
+        assert_eq!(rebuilt.unwrap(), copy);
         assert_eq!(copy.renumbered_in_postorder(), copy);
         copy.validate().unwrap();
     }
@@ -1115,7 +1114,14 @@ mod tests {
                 };
                 let weight = t.weight(target) - next(t.weight(target) as usize + 1) as u64;
                 last = t.splice_above(target, weight);
+                // A splice leaves child lists out of id order, so the
+                // children weights are recounted from the spliced lists
+                // rather than by the constructor's counting sort.
                 let mut rebuilt = t.clone();
+                rebuilt.children_weight = rebuilt
+                    .node_ids()
+                    .map(|v| rebuilt.children(v).iter().map(|&c| rebuilt.weight(c)).sum())
+                    .collect();
                 rebuilt.recompute_derived().unwrap();
                 assert_eq!(t, rebuilt, "round {round}: splice above {target:?}");
                 t.validate().unwrap();
@@ -1152,6 +1158,138 @@ mod tests {
         assert_eq!(t.total_weight(), u64::MAX);
     }
 
+    /// The counting sort meets the parents in child-id order: node 2's
+    /// children (ids 3 and 4) overflow before node 1's (ids 5 and 6), and
+    /// node 1, the lower parent, is the one reported.
+    #[test]
+    fn the_lowest_overflowing_parent_is_reported() {
+        let big = 1u64 << 63;
+        let weights = [1, 1, 1, big, big, big, big];
+        let parents = [None, Some(0), Some(0), Some(2), Some(2), Some(1), Some(1)];
+        let expected = Err(TreeError::WeightOverflow(NodeId(1)));
+        assert_eq!(Tree::from_parents(&weights, &parents), expected);
+        let ids = vec![NO_PARENT, 0, 0, 2, 2, 1, 1];
+        assert_eq!(Tree::from_parent_ids(weights.to_vec(), ids), expected);
+    }
+
+    /// Unknown parents and second roots are reported in index order,
+    /// whichever comes first, also for parents no `u32` id can hold.
+    #[test]
+    fn unknown_parents_and_second_roots_are_reported_in_index_order() {
+        let far = 1usize << 32;
+        for bad in [5, u32::MAX as usize, far, usize::MAX] {
+            assert_eq!(
+                Tree::from_parents(&[1, 1, 1], &[None, None, Some(bad)]),
+                Err(TreeError::MultipleRoots(NodeId(0), NodeId(1))),
+                "second root before parent {bad}"
+            );
+            // A length mismatch comes before every parent check.
+            assert_eq!(
+                Tree::from_parents(&[1, 1], &[None, Some(bad), None]),
+                Err(TreeError::LengthMismatch {
+                    weights: 2,
+                    parents: 3,
+                })
+            );
+        }
+        let reversed = |bad: usize| Tree::from_parents(&[1, 1, 1], &[None, Some(bad), None]);
+        assert_eq!(reversed(5), Err(TreeError::UnknownNode(NodeId(5))));
+        for bad in [u32::MAX as usize, far] {
+            assert_eq!(reversed(bad), Err(TreeError::ParentOutOfRange(NodeId(1))));
+        }
+        assert_eq!(
+            Tree::from_parent_ids(vec![1, 1, 1], vec![NO_PARENT, NO_PARENT, 5]),
+            Err(TreeError::MultipleRoots(NodeId(0), NodeId(1)))
+        );
+        assert_eq!(
+            Tree::from_parent_ids(vec![1, 1, 1], vec![NO_PARENT, 5, NO_PARENT]),
+            Err(TreeError::UnknownNode(NodeId(5)))
+        );
+    }
+
+    /// A parent index of 2^32 or more used to panic while its
+    /// `UnknownNode` error was built.
+    #[test]
+    fn a_parent_index_past_the_node_id_range_is_an_error() {
+        for parent in [u32::MAX as usize, 1 << 32, usize::MAX] {
+            assert_eq!(
+                Tree::from_parents(&[1, 1], &[None, Some(parent)]),
+                Err(TreeError::ParentOutOfRange(NodeId(1)))
+            );
+        }
+        // The builder's parent array cannot hold `NodeId(NO_PARENT)`
+        // either; it is reported after the faults of lower nodes.
+        let mut b = TreeBuilder::new();
+        b.add_child(NodeId(NO_PARENT), 1);
+        b.add_root(1);
+        assert_eq!(b.build(), Err(TreeError::ParentOutOfRange(NodeId(0))));
+        let mut b = TreeBuilder::new();
+        b.add_root(1);
+        b.add_root(1);
+        b.add_child(NodeId(NO_PARENT), 1);
+        assert_eq!(
+            b.build(),
+            Err(TreeError::MultipleRoots(NodeId(0), NodeId(1)))
+        );
+    }
+
+    /// `from_parents` and the owning constructor agree, trees and errors,
+    /// on every fault above and on random small arrays that mix them.
+    #[test]
+    fn the_owning_constructor_returns_what_from_parents_returns() {
+        let ids = |parents: &[Option<usize>]| -> Vec<u32> {
+            parents
+                .iter()
+                .map(|p| p.map_or(NO_PARENT, |p| u32::try_from(p).unwrap()))
+                .collect()
+        };
+        let big = 1u64 << 63;
+        let cases: [(&[u64], &[Option<usize>]); 10] = [
+            (&[], &[]),
+            (&[1, 2], &[None]),
+            (&[1, 1], &[None, None]),
+            (&[1, 1], &[Some(1), Some(0)]),
+            (&[1], &[Some(5)]),
+            (&[1, 1, 1], &[None, Some(2), Some(1)]),
+            (&[1, big, big], &[None, Some(0), Some(0)]),
+            (&[big, big, 1], &[None, Some(0), Some(1)]),
+            (&[5, 3, 4, 2], &[None, Some(0), Some(1), Some(0)]),
+            (&[1, 2, 3], &[Some(2), Some(2), None]),
+        ];
+        for (weights, parents) in cases {
+            assert_eq!(
+                Tree::from_parent_ids(weights.to_vec(), ids(parents)),
+                Tree::from_parents(weights, parents),
+                "{weights:?} {parents:?}"
+            );
+        }
+        let mut state = 0xfa17_u64;
+        let mut faults = 0;
+        for _ in 0..2000 {
+            let n = draw(&mut state, 8);
+            let weights: Vec<u64> = (0..n)
+                .map(|_| match draw(&mut state, 4) {
+                    0 => big + draw(&mut state, 3) as u64,
+                    _ => 1 + draw(&mut state, 9) as u64,
+                })
+                .collect();
+            let parents: Vec<Option<usize>> = (0..n)
+                .map(|_| match draw(&mut state, n + 3) {
+                    0 => None,
+                    p => Some(p - 1),
+                })
+                .collect();
+            let built = Tree::from_parents(&weights, &parents);
+            faults += usize::from(built.is_err());
+            assert_eq!(
+                Tree::from_parent_ids(weights.clone(), ids(&parents)),
+                built,
+                "{weights:?} {parents:?}"
+            );
+        }
+        assert!(faults > 1000 && faults < 2000, "{faults} faults");
+    }
+
     #[test]
     fn homogeneous_detection() {
         let t = sample();
@@ -1169,10 +1307,6 @@ mod tests {
         assert_eq!(po, &[NodeId(2), NodeId(1)]);
         // The whole-tree postorder is itself the root's subtree slice.
         assert_eq!(t.subtree_postorder(t.root()), t.postorder());
-        // Preorder subtree listing still starts at the subtree root.
-        let pre = t.subtree_nodes(NodeId(1));
-        assert_eq!(pre[0], NodeId(1));
-        assert_eq!(pre.len(), 2);
     }
 
     #[test]

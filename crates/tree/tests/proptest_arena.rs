@@ -3,7 +3,8 @@
 //! The arena stores everything as flat arrays (SoA weights, CSR children,
 //! precomputed postorder/size/depth). These tests rebuild every derived
 //! quantity with a deliberately naive reference model straight from the
-//! `(weights, parents)` arrays and assert the arena agrees on trees of up to
+//! `(weights, parents)` arrays and assert the arena, built by either
+//! constructor, agrees on trees of up to
 //! 10 000 nodes across strongly skewed shapes (chains, stars, power-law
 //! attachment), plus byte-identical round-trips through the corpus text
 //! format. The shapes are drawn with every parent below its child in id
@@ -12,7 +13,7 @@
 //! them.
 
 use oocts_gen::corpus::{format_instance, parse_instance};
-use oocts_tree::{NodeId, Tree, TreeBuilder};
+use oocts_tree::{NodeId, Tree, TreeBuilder, NO_PARENT};
 use proptest::prelude::*;
 
 /// Splitmix-style generator: cheap, deterministic, good enough to produce
@@ -216,6 +217,22 @@ fn assert_matches(tree: &Tree, model: &RefModel) {
     }
 }
 
+/// Builds the arena from the raw arrays with both constructors, the
+/// borrowing `from_parents` and the owning `from_parent_ids`, and checks
+/// each against the reference model.
+fn assert_both_constructors_match(weights: &[u64], parents: &[Option<usize>]) {
+    let model = RefModel::new(weights, parents);
+    assert_matches(&Tree::from_parents(weights, parents).unwrap(), &model);
+    let ids: Vec<u32> = parents
+        .iter()
+        .map(|p| p.map_or(NO_PARENT, |p| u32::try_from(p).unwrap()))
+        .collect();
+    assert_matches(
+        &Tree::from_parent_ids(weights.to_vec(), ids).unwrap(),
+        &model,
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(120))]
 
@@ -224,9 +241,7 @@ proptest! {
     #[test]
     fn arena_matches_reference_model_small(raw in raw_tree(64)) {
         let (weights, parents) = raw;
-        let tree = Tree::from_parents(&weights, &parents).unwrap();
-        let model = RefModel::new(&weights, &parents);
-        assert_matches(&tree, &model);
+        assert_both_constructors_match(&weights, &parents);
     }
 
     /// The same on relabeled ids: the arena's one DFS must not rely on
@@ -234,9 +249,7 @@ proptest! {
     #[test]
     fn arena_matches_reference_model_relabeled_small(raw in relabeled_tree(64)) {
         let (weights, parents) = raw;
-        let tree = Tree::from_parents(&weights, &parents).unwrap();
-        let model = RefModel::new(&weights, &parents);
-        assert_matches(&tree, &model);
+        assert_both_constructors_match(&weights, &parents);
     }
 
     /// The corpus text format round-trips byte-identically: format → parse →
@@ -245,7 +258,7 @@ proptest! {
     #[test]
     fn corpus_text_round_trip_is_byte_identical(raw in raw_tree(200)) {
         let (weights, parents) = raw;
-        let mut builder = TreeBuilder::with_capacity(weights.len());
+        let mut builder = TreeBuilder::new();
         for (i, &w) in weights.iter().enumerate() {
             match parents[i] {
                 None => builder.add_root(w),
@@ -272,17 +285,13 @@ proptest! {
     #[test]
     fn arena_matches_reference_model_large(raw in raw_tree(10_000)) {
         let (weights, parents) = raw;
-        let tree = Tree::from_parents(&weights, &parents).unwrap();
-        let model = RefModel::new(&weights, &parents);
-        assert_matches(&tree, &model);
+        assert_both_constructors_match(&weights, &parents);
     }
 
     /// Large skewed trees on relabeled ids.
     #[test]
     fn arena_matches_reference_model_relabeled_large(raw in relabeled_tree(10_000)) {
         let (weights, parents) = raw;
-        let tree = Tree::from_parents(&weights, &parents).unwrap();
-        let model = RefModel::new(&weights, &parents);
-        assert_matches(&tree, &model);
+        assert_both_constructors_match(&weights, &parents);
     }
 }
