@@ -25,10 +25,12 @@
 //! Line 1 is the magic header; `name` is the instance name; `nodes` the node
 //! count `n`. Then exactly `n` lines follow, the `i`-th (0-based) holding
 //! node `i`'s parent index (`-` for the root) and its output weight,
-//! space-separated. The format is canonical: [`format_instance`] emits
-//! exactly one representation per instance and [`parse_instance`] accepts
-//! nothing else, so snapshots round-trip **byte-identically** — the golden
-//! suite asserts `format(parse(file)) == file` for every committed file.
+//! space-separated. Numbers are decimal, with no sign and no leading zero,
+//! and every line, the last one included, ends with a bare `\n`. The format
+//! is canonical: [`format_instance`] emits exactly one representation per
+//! instance and [`parse_instance`] accepts nothing else, so snapshots
+//! round-trip **byte-identically** — the golden suite asserts
+//! `format(parse(file)) == file` for every committed file.
 //!
 //! # The golden TSV
 //!
@@ -123,20 +125,31 @@ pub fn format_instance(name: &str, tree: &Tree) -> Result<String, CorpusError> {
 /// Parses a canonical `oocts-corpus v1` snapshot back into an instance.
 ///
 /// Strict by design: anything [`format_instance`] would not emit (extra
-/// blank lines, trailing garbage, a node-count mismatch) is an error, which
-/// is what makes round-trips byte-identical.
+/// blank lines, trailing garbage, a node-count mismatch, a number with a
+/// sign or a leading zero, a `\r\n` line end, a missing final newline, a
+/// name with a control character) is an error naming its line, which is
+/// what makes round-trips byte-identical.
 /// A parent index of `u32::MAX` or more, which no node id can be, is a
 /// parse error too.
 pub fn parse_instance(text: &str) -> Result<Instance, CorpusError> {
-    let mut lines = text.lines().enumerate();
+    let total = text.split_terminator('\n').count();
+    let mut lines = text.split_terminator('\n').enumerate();
     let mut expect = |what: &str| {
-        lines
-            .next()
-            .ok_or_else(|| CorpusError::Parse {
-                line: text.lines().count() + 1,
-                message: format!("missing {what}"),
-            })
-            .map(|(idx, l)| (idx + 1, l))
+        let (idx, l) = lines.next().ok_or_else(|| CorpusError::Parse {
+            line: total + 1,
+            message: format!("missing {what}"),
+        })?;
+        let bad = |message: &str| CorpusError::Parse {
+            line: idx + 1,
+            message: message.to_string(),
+        };
+        if l.contains('\r') {
+            return Err(bad("carriage return (lines end with a bare `\\n`)"));
+        }
+        if idx + 1 == total && !text.ends_with('\n') {
+            return Err(bad("no newline at the end of the last line"));
+        }
+        Ok((idx + 1, l))
     };
 
     let (line, magic) = expect("magic header")?;
@@ -160,10 +173,16 @@ pub fn parse_instance(text: &str) -> Result<Instance, CorpusError> {
             message: "empty instance name".to_string(),
         });
     }
+    if name.chars().any(char::is_control) {
+        return Err(CorpusError::Parse {
+            line,
+            message: "control character in the instance name".to_string(),
+        });
+    }
     let (line, nodes_line) = expect("`nodes <count>`")?;
     let n: usize = nodes_line
         .strip_prefix("nodes ")
-        .and_then(|v| v.parse().ok())
+        .and_then(canonical)
         .ok_or_else(|| CorpusError::Parse {
             line,
             message: "expected `nodes <count>`".to_string(),
@@ -171,7 +190,7 @@ pub fn parse_instance(text: &str) -> Result<Instance, CorpusError> {
 
     // The header is not trusted with the allocation: every node needs a
     // line of its own, so no more than the remaining lines are reserved.
-    let room = n.min(text.lines().count().saturating_sub(3));
+    let room = n.min(total.saturating_sub(3));
     let mut weights = Vec::with_capacity(room);
     let mut parents = Vec::with_capacity(room);
     for _ in 0..n {
@@ -185,13 +204,11 @@ pub fn parse_instance(text: &str) -> Result<Instance, CorpusError> {
             .ok_or_else(|| bad("expected `<parent|-> <weight>`"))?;
         let parent = match parent {
             "-" => NO_PARENT,
-            p => p
-                .parse::<u32>()
-                .ok()
+            p => canonical::<u32>(p)
                 .filter(|&p| p != NO_PARENT)
                 .ok_or_else(|| bad("parent is not a node index"))?,
         };
-        let weight: u64 = weight.parse().map_err(|_| bad("weight is not a number"))?;
+        let weight: u64 = canonical(weight).ok_or_else(|| bad("weight is not a number"))?;
         parents.push(parent);
         weights.push(weight);
     }
@@ -204,6 +221,18 @@ pub fn parse_instance(text: &str) -> Result<Instance, CorpusError> {
     let tree = Tree::from_parent_ids(weights, parents)?;
     tree.validate()?;
     Ok(Instance { name, tree })
+}
+
+/// `text` as a number spelled the way [`format_instance`] spells one:
+/// decimal digits only (`str::parse` also takes a leading `+`), and no
+/// leading zero unless the number is 0.
+fn canonical<T: std::str::FromStr>(text: &str) -> Option<T> {
+    let digits = !text.is_empty() && text.bytes().all(|b| b.is_ascii_digit());
+    if digits && (text == "0" || !text.starts_with('0')) {
+        text.parse().ok()
+    } else {
+        None
+    }
 }
 
 /// Loads every `*.tree` snapshot of a corpus directory, sorted by file name.
@@ -405,6 +434,52 @@ mod tests {
             format_instance("", &sample()),
             Err(CorpusError::BadName(_))
         ));
+    }
+
+    /// `str::parse` takes a leading `+` and leading zeros, and `str::lines`
+    /// takes `\r\n` and a last line without its newline: each of these
+    /// parsed to the tree of a different text, so the round trip was not
+    /// byte-identical.
+    #[test]
+    fn non_canonical_spellings_are_located_errors() {
+        let good = format_instance("x", &sample()).unwrap();
+        assert_eq!(
+            good,
+            "oocts-corpus v1\nname x\nnodes 4\n- 5\n0 3\n1 4\n0 2\n"
+        );
+        let cases: [(&str, &str, usize); 10] = [
+            ("nodes 4\n", "nodes +4\n", 3),
+            ("nodes 4\n", "nodes 04\n", 3),
+            ("- 5\n", "- +5\n", 4),
+            ("- 5\n", "- 005\n", 4),
+            ("0 3\n", "+0 3\n", 5),
+            ("0 3\n", "00 3\n", 5),
+            ("1 4\n", "01 4\n", 6),
+            ("name x\n", "name x\r\n", 2),
+            ("0 2\n", "0 2\r\n", 7),
+            ("name x\n", "name \u{1}x\n", 2),
+        ];
+        for (from, to, line) in cases {
+            let text = good.replacen(from, to, 1);
+            match parse_instance(&text) {
+                Err(CorpusError::Parse { line: at, .. }) if at == line => {}
+                other => panic!("{to:?}: expected a parse error at line {line}, got {other:?}"),
+            }
+        }
+        let crlf = good.replace('\n', "\r\n");
+        assert!(matches!(
+            parse_instance(&crlf),
+            Err(CorpusError::Parse { line: 1, .. })
+        ));
+        let unterminated = good.strip_suffix('\n').unwrap();
+        assert!(matches!(
+            parse_instance(unterminated),
+            Err(CorpusError::Parse { line: 7, .. })
+        ));
+        // Zero itself is canonical.
+        let zero = "oocts-corpus v1\nname z\nnodes 2\n- 0\n0 0\n";
+        let parsed = parse_instance(zero).unwrap();
+        assert_eq!(format_instance(&parsed.name, &parsed.tree).unwrap(), zero);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use oocts_tree::{NodeId, Schedule, Tree};
 
-use crate::segments::{pick_next, push_cut, Segment};
+use crate::segments::{cut, pick_next, Segment};
 
 /// Computes a peak-memory-optimal traversal of the whole tree.
 ///
@@ -83,6 +83,9 @@ pub struct PeakCache {
     next: Vec<NodeId>,
     /// The unread range of each child's sequence during a merge.
     cursors: Vec<(usize, usize)>,
+    /// The one-shot pass's copy of the children's sequences of the node it
+    /// composes, whose sequence overwrites them.
+    staging: Vec<Segment>,
 }
 
 impl PeakCache {
@@ -91,84 +94,40 @@ impl PeakCache {
         Self::default()
     }
 
-    /// A cache updated at every node of `root`'s subtree, bottom-up, for
+    /// A cache composed at every node of `root`'s subtree, bottom-up, for
     /// reading `root` only: nothing reads a child's sequence once its parent
-    /// is composed, so each node's sequence moves down over its children's,
+    /// is composed, so each node's sequence is composed over its children's,
     /// which in postorder are the last ones stored. The arena then holds the
     /// pending sequences only, not every node's. The other nodes' spans are
     /// left dangling; the task links stay valid.
     fn solved(tree: &Tree, root: NodeId) -> Self {
-        let mut cache = PeakCache::new();
+        let mut cache = PeakCache {
+            spans: vec![(0, 0); tree.len()],
+            next: vec![root; tree.len()],
+            ..PeakCache::default()
+        };
         for &node in tree.subtree_postorder(root) {
-            let base = match tree.children(node).first() {
+            let floor = match tree.children(node).first() {
                 Some(c) => cache.spans[c.index()].0,
                 None => cache.arena.len(),
             };
-            cache.update(tree, node);
-            let (start, len) = cache.spans[node.index()];
-            cache.arena.copy_within(start..start + len, base);
-            cache.arena.truncate(base + len);
-            cache.spans[node.index()] = (base, len);
+            cache.compose(tree, node, floor);
+            cache.spans[node.index()] = (floor, cache.arena.len() - floor);
         }
         cache
     }
 
     /// Recomposes `node`'s sequence from its children's cached sequences,
     /// which must be up to date, and returns the optimal peak of the
-    /// subtree rooted at `node`.
-    ///
-    /// The children's segments are merged straight from their arena spans
-    /// and cut canonically on top of the arena as they come, the node's own
-    /// run last; the result stays where it was cut.
+    /// subtree rooted at `node`. The new sequence is appended to the arena.
     // lint: no_alloc
     pub fn update(&mut self, tree: &Tree, node: NodeId) -> u64 {
         // lint: allow(L003, grows with the tree, once per inserted node: amortized)
         self.spans.resize(tree.len(), (0, 0));
         // lint: allow(L003, grows with the tree, once per inserted node: amortized)
         self.next.resize(tree.len(), node);
-        self.cursors.clear();
-        for &c in tree.children(node) {
-            let (start, len) = self.spans[c.index()];
-            self.cursors.push((start, start + len)); // lint: allow(L003, staging area grows to the largest arity once: amortized)
-        }
         let floor = self.arena.len();
-        // Resident memory (absolute within the subtree) after the segments
-        // executed so far.
-        let mut base = 0u64;
-        while let Some(at) = pick_next(&self.arena, &mut self.cursors) {
-            let seg = self.arena[at];
-            let run = Segment {
-                hill: base + seg.hill,
-                valley: base + seg.valley,
-                ..seg
-            };
-            base = run.valley;
-            push_cut(&mut self.arena, floor, &mut self.next, run);
-        }
-        debug_assert_eq!(
-            base,
-            tree.children_weight(node),
-            "children valleys must sum to their weights"
-        );
-        // Executing the node: all children outputs (and nothing else from
-        // this subtree) are resident, so the absolute peak is exactly w̄ and
-        // the resident data afterwards is the node's own output.
-        let weight = tree.weight(node);
-        let own = Segment {
-            hill: weight.max(base),
-            valley: weight,
-            head: node,
-            tail: node,
-        };
-        push_cut(&mut self.arena, floor, &mut self.next, own);
-        // Back to hills and valleys relative to each segment's start.
-        let mut before = 0u64;
-        for seg in &mut self.arena[floor..] {
-            let valley = seg.valley;
-            seg.hill -= before;
-            seg.valley -= before;
-            before = valley;
-        }
+        self.compose(tree, node, floor);
         self.dead += self.spans[node.index()].1;
         self.spans[node.index()] = (floor, self.arena.len() - floor);
         if self.dead > self.arena.len() / 2 {
@@ -182,6 +141,85 @@ impl PeakCache {
             self.dead = 0;
         }
         self.peak(node)
+    }
+
+    /// Writes `node`'s canonical sequence at `arena[floor..]`: the
+    /// children's segments merged in Liu's order and cut canonically on the
+    /// arena as they come, the node's own run last. Above `floor` the arena
+    /// holds either nothing ([`PeakCache::update`], which reads the
+    /// children at their spans) or exactly the children's sequences, in
+    /// child order (the one-shot pass, whose result overwrites them).
+    ///
+    /// A single child's sequence is the merge as it stands: `update` copies
+    /// it up, and the one-shot pass cuts the node's run onto it where it
+    /// lies. Several children are merged from their spans in `update`, and
+    /// in the one-shot pass from a copy in `staging`.
+    // lint: no_alloc
+    fn compose(&mut self, tree: &Tree, node: NodeId, floor: usize) {
+        let in_place = self.arena.len() > floor;
+        // Resident memory (absolute within the subtree) after the segments
+        // cut so far: the absolute valley of the arena's top.
+        let mut top = 0u64;
+        match tree.children(node) {
+            [] => {}
+            &[child] => {
+                if !in_place {
+                    let (start, len) = self.spans[child.index()];
+                    // lint: allow(L003, the arena's capacity is reused across updates: amortized)
+                    self.arena.extend_from_within(start..start + len);
+                }
+                top = tree.weight(child);
+            }
+            children => {
+                self.cursors.clear();
+                // In place, the children's sequences move to `staging`, and
+                // each cursor is its span's offset above `floor`.
+                let offset = if in_place {
+                    self.staging.clear();
+                    // lint: allow(L003, staging area grows to the largest set of siblings' sequences once: amortized)
+                    self.staging.extend_from_slice(&self.arena[floor..]);
+                    self.arena.truncate(floor);
+                    floor
+                } else {
+                    0
+                };
+                for &c in children {
+                    let (start, len) = self.spans[c.index()];
+                    // lint: allow(L003, staging area grows to the largest arity once: amortized)
+                    self.cursors.push((start - offset, start - offset + len));
+                }
+                loop {
+                    let source = if in_place { &self.staging } else { &self.arena };
+                    let Some(at) = pick_next(source, &mut self.cursors) else {
+                        break;
+                    };
+                    let seg = source[at];
+                    let run = Segment {
+                        hill: top + seg.hill,
+                        valley: top + seg.valley,
+                        ..seg
+                    };
+                    cut(&mut self.arena, floor, top, &mut self.next, run);
+                    top = run.valley;
+                }
+            }
+        }
+        debug_assert_eq!(
+            top,
+            tree.children_weight(node),
+            "children valleys must sum to their weights"
+        );
+        // Executing the node: all children outputs (and nothing else from
+        // this subtree) are resident, so the absolute peak is exactly w̄ and
+        // the resident data afterwards is the node's own output.
+        let weight = tree.weight(node);
+        let own = Segment {
+            hill: weight.max(top),
+            valley: weight,
+            head: node,
+            tail: node,
+        };
+        cut(&mut self.arena, floor, top, &mut self.next, own);
     }
 
     /// `node`'s canonical sequence as of its last [`PeakCache::update`]

@@ -19,8 +19,8 @@
 //! through a per-node `next` array (owned by [`crate::PeakCache`]): joining
 //! two runs writes one link, so a composition never copies a task list.
 //! This module holds the two steps of a composition: the merge order
-//! (`pick_next`) and the canonical cut in one left-to-right pass
-//! (`push_cut`).
+//! (`pick_next`) and the canonical cut in one left-to-right pass over the
+//! relative segments as stored (`cut`).
 
 use oocts_tree::NodeId;
 
@@ -72,38 +72,55 @@ pub(crate) fn pick_next(segments: &[Segment], cursors: &mut [(usize, usize)]) ->
     Some(at)
 }
 
-/// One step of the canonical cut, in a single left-to-right pass: `cur` is
-/// the next run of the profile, with its hill and valley *absolute*, and
-/// `stack[floor..]` the canonical segments (absolute too) of everything
-/// before it. A segment whose hill is below `cur`'s, or whose valley is not
-/// below `cur`'s, cannot end a canonical segment once `cur` follows it, so it
-/// is popped and joined in front of `cur` (`next[top.tail] = cur.head`)
-/// until the top has both a hill at least `cur`'s and a lower valley; then
-/// `cur` is pushed.
+/// One step of the canonical cut, in a single left-to-right pass over
+/// relative segments: `stack[floor..]` holds the canonical segments of the
+/// profile so far, relative as stored, `top` is the absolute valley of the
+/// last one (0 when there is none), and `run` is the next run of the
+/// profile, with its hill and valley *absolute*.
 ///
-/// The stack thus keeps non-increasing hills and strictly increasing
-/// valleys. Its segments are exactly Liu's canonical ones: cut the whole
-/// profile at the last minimum after its first maximum, then do the same in
-/// the rest.
+/// A segment whose hill is below `run`'s, or whose valley is not below
+/// `run`'s, cannot end a canonical segment once `run` follows it, so it is
+/// popped and joined in front of `run` (`next[seg.tail] = run.head`) until
+/// the top has both a hill at least `run`'s and a lower valley. Each popped
+/// segment's absolute hill and valley are rebuilt from `top` on the way
+/// down; then `run` is pushed relative to what is left, so every segment is
+/// written once. The run's valley is the new `top`.
+///
+/// The stack thus keeps non-increasing absolute hills and strictly
+/// increasing absolute valleys. Its segments are exactly Liu's canonical
+/// ones: cut the whole profile at the last minimum after its first maximum,
+/// then do the same in the rest.
 // lint: no_alloc
-pub(crate) fn push_cut(
+pub(crate) fn cut(
     stack: &mut Vec<Segment>,
     floor: usize,
+    mut top: u64,
     next: &mut [NodeId],
-    mut cur: Segment,
+    mut run: Segment,
 ) {
     while stack.len() > floor {
-        let top = stack[stack.len() - 1];
-        if top.hill >= cur.hill && top.valley < cur.valley {
+        let seg = stack[stack.len() - 1];
+        // Absolute: the segment starts where the one below it ends.
+        let start = top - seg.valley;
+        let hill = start + seg.hill;
+        if hill >= run.hill && top < run.valley {
             break;
         }
-        next[top.tail.index()] = cur.head;
-        cur.head = top.head;
-        cur.hill = cur.hill.max(top.hill);
+        next[seg.tail.index()] = run.head;
+        run.head = seg.head;
+        run.hill = run.hill.max(hill);
+        top = start;
         stack.pop();
     }
+    // Either the loop stopped below `run`'s valley or the stack is empty
+    // (`top` 0), and a hill is never below its valley: neither subtraction
+    // wraps.
     // lint: allow(L003, the stack is the cache's arena, whose capacity is reused across updates: amortized)
-    stack.push(cur);
+    stack.push(Segment {
+        hill: run.hill - top,
+        valley: run.valley - top,
+        ..run
+    });
 }
 
 #[cfg(test)]
@@ -111,11 +128,11 @@ mod tests {
     use super::*;
 
     /// Cuts a profile of single-task atoms `(peak, resident)` (absolute,
-    /// atom `i` being task `i`), then converts the segments to relative
-    /// values and lists each one's tasks.
+    /// atom `i` being task `i`) and lists each segment's relative hill and
+    /// valley, as stored, and its tasks.
     fn decompose(atoms: &[(u64, u64)]) -> Vec<(u64, u64, Vec<u32>)> {
         let mut next = vec![NodeId(u32::MAX); atoms.len()];
-        let mut stack = Vec::new();
+        let (mut stack, mut top) = (Vec::new(), 0);
         for (i, &(peak, resident)) in atoms.iter().enumerate() {
             let id = NodeId::from_index(i);
             let atom = Segment {
@@ -124,9 +141,9 @@ mod tests {
                 head: id,
                 tail: id,
             };
-            push_cut(&mut stack, 0, &mut next, atom);
+            cut(&mut stack, 0, top, &mut next, atom);
+            top = resident;
         }
-        let mut before = 0;
         stack
             .iter()
             .map(|s| {
@@ -136,9 +153,7 @@ mod tests {
                     v = next[v.index()];
                     tasks.push(v.0);
                 }
-                let relative = (s.hill - before, s.valley - before, tasks);
-                before = s.valley;
-                relative
+                (s.hill, s.valley, tasks)
             })
             .collect()
     }
@@ -197,6 +212,25 @@ mod tests {
         assert_eq!(decompose(&[(9, 3), (8, 3)]), vec![(9, 3, vec![0, 1])]);
     }
 
+    /// The cut reads and pops nothing below `floor`: atoms cut above another
+    /// sequence give the segments they give on an empty stack.
+    #[test]
+    fn cut_stays_above_the_floor() {
+        let atoms = [(9, 6), (7, 2), (6, 5), (3, 1)];
+        let below = seg(1, 0, 9);
+        let mut next = vec![NodeId(u32::MAX); 10];
+        let (mut stack, mut top) = (vec![below], 0);
+        for (i, &(peak, resident)) in atoms.iter().enumerate() {
+            cut(&mut stack, 1, top, &mut next, seg(peak, resident, i as u32));
+            top = resident;
+        }
+        assert_eq!(stack[0], below);
+        let got: Vec<(u64, u64)> = stack[1..].iter().map(|s| (s.hill, s.valley)).collect();
+        let want: Vec<(u64, u64)> = decompose(&atoms).iter().map(|s| (s.0, s.1)).collect();
+        assert_eq!(got, want);
+        assert_eq!(want, [(9, 1)]);
+    }
+
     #[test]
     fn merge_orders_by_key_and_preserves_child_order() {
         // Child 0: keys 9 then 2; child 1: key 5.
@@ -225,18 +259,18 @@ mod tests {
             let children = [seg(9, 2, ids[0]), seg(4, 3, ids[1]), seg(8, 1, ids[2])];
             let mut cursors = [(0, 2), (2, 3)];
             let mut next = vec![NodeId(u32::MAX); 8];
-            let (mut stack, mut base) = (Vec::new(), 0);
+            let (mut stack, mut top) = (Vec::new(), 0);
             while let Some(at) = pick_next(&children, &mut cursors) {
                 let s = children[at];
                 let atom = Segment {
-                    hill: base + s.hill,
-                    valley: base + s.valley,
+                    hill: top + s.hill,
+                    valley: top + s.valley,
                     ..s
                 };
-                base = atom.valley;
-                push_cut(&mut stack, 0, &mut next, atom);
+                cut(&mut stack, 0, top, &mut next, atom);
+                top = atom.valley;
             }
-            push_cut(&mut stack, 0, &mut next, seg(6, 3, ids[3]));
+            cut(&mut stack, 0, top, &mut next, seg(6, 3, ids[3]));
             let mut order = Vec::new();
             for s in &stack {
                 let mut v = s.head;
@@ -256,6 +290,6 @@ mod tests {
         // runs last. The optimal peak is the first hill.
         assert_eq!(order, vec![0, 2, 1, 3]);
         assert_eq!(order_other, vec![7, 6, 5, 4]);
-        assert_eq!(hv[0].0, 10);
+        assert_eq!(hv, [(10, 3)]);
     }
 }

@@ -144,3 +144,75 @@ fn cache_follows_random_splices() {
         }
     }
 }
+
+/// The one-shot pass (`opt_min_mem`, `opt_min_mem_peak`) against an update
+/// walk over every node of `tree`: the same traversal and peak at the root,
+/// and at every tenth node of the postorder the same subtree solve. Returns
+/// the root's traversal and peak.
+fn assert_one_shot_matches_update_walk(tree: &Tree) -> (Vec<NodeId>, u64) {
+    let mut cache = PeakCache::new();
+    for &v in tree.postorder() {
+        cache.update(tree, v);
+    }
+    let root = tree.root();
+    let mut order = Vec::new();
+    cache.schedule_into(tree, root, &mut order);
+    let (schedule, peak) = opt_min_mem(tree);
+    assert_eq!(peak, cache.peak(root), "peak");
+    assert_eq!(schedule.order(), &order[..], "traversal");
+    assert_eq!(opt_min_mem_peak(tree), peak, "peak-only pass");
+    for &v in tree.postorder().iter().step_by(10) {
+        let (schedule, peak) = opt_min_mem_subtree(tree, v);
+        assert_eq!(peak, cache.peak(v), "peak of {v:?}");
+        cache.schedule_into(tree, v, &mut order);
+        assert_eq!(schedule.order(), &order[..], "traversal of {v:?}");
+    }
+    cache.schedule_into(tree, root, &mut order);
+    (order, peak)
+}
+
+/// Both Liu passes on large trees, in release: a 2^18-node Rémy tree and
+/// its postorder-numbered copy (the engine's, whose traversal mapped back
+/// through the copy must be the original's), every TREES scale-2 instance,
+/// and 40 SYNTH trees of 3,000 nodes, which the task-list reference checks
+/// too.
+#[test]
+#[ignore = "large trees: run in release, `cargo test --release -p oocts-minmem -- --ignored`"]
+fn one_shot_and_update_walk_agree_on_large_trees() {
+    use oocts_gen::dataset::{synth_dataset, trees_dataset, DatasetConfig};
+
+    let tree = oocts_gen::random_binary_tree(1 << 18, 1..=100, 24_301);
+    let copy = tree.renumbered_in_postorder();
+    let (order, peak) = assert_one_shot_matches_update_walk(&tree);
+    let (copy_order, copy_peak) = assert_one_shot_matches_update_walk(&copy);
+    let mapped: Vec<NodeId> = copy_order
+        .iter()
+        .map(|p| tree.postorder()[p.index()])
+        .collect();
+    assert_eq!((mapped, copy_peak), (order, peak), "the copy's traversal");
+
+    let trees = trees_dataset(&DatasetConfig {
+        trees_scale: 2,
+        ..DatasetConfig::default()
+    });
+    assert!(trees.len() > 50, "{} TREES instances", trees.len());
+    for instance in &trees {
+        assert_one_shot_matches_update_walk(&instance.tree);
+    }
+
+    let synth = synth_dataset(&DatasetConfig {
+        synth_instances: 40,
+        synth_nodes: 3000,
+        ..DatasetConfig::default()
+    });
+    for instance in &synth {
+        let tree = &instance.tree;
+        let got = assert_one_shot_matches_update_walk(tree);
+        assert_eq!(
+            got,
+            reference::opt_min_mem_subtree(tree, tree.root()),
+            "{}",
+            instance.name
+        );
+    }
+}

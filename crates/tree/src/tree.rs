@@ -22,7 +22,6 @@
 //! postorder        DFS postorder of the whole tree (children in stored order)
 //! postorder_pos    position of each node in `postorder`
 //! subtree_size     nodes in the subtree rooted at i (including i)
-//! depth            root = 0
 //! ```
 //!
 //! Because the postorder visits every subtree contiguously (ending at its
@@ -35,8 +34,7 @@
 //!   parent's child slot is overwritten;
 //! * the new node enters the postorder right after the node it sits above,
 //!   and the later positions shift by one;
-//! * the ancestors' subtree sizes and the depths inside the spliced subtree
-//!   grow by one;
+//! * the ancestors' subtree sizes grow by one;
 //! * two children-weight entries change: the new node's and its parent's.
 //!
 //! The patched tree is `==` to rebuilding its derived arrays from scratch.
@@ -107,10 +105,6 @@ pub struct Tree {
     postorder_pos: Vec<u32>,
     /// Number of nodes in the subtree rooted at each node (including it).
     subtree_size: Vec<u32>,
-    /// Depth of each node (root = 0).
-    depth: Vec<u32>,
-    /// Maximum depth over all nodes.
-    height: u32,
     root: NodeId,
 }
 
@@ -131,8 +125,8 @@ impl Tree {
     ///
     /// O(n), and every node-sized array it allocates is part of the arena:
     /// one counting sort by parent lists the children in id order and sums
-    /// their weights, and one DFS derives the postorder, positions, subtree
-    /// sizes and depths.
+    /// their weights, and one DFS derives the postorder, positions and
+    /// subtree sizes.
     pub fn from_parent_ids(weights: Vec<u64>, parents: Vec<u32>) -> Result<Self, TreeError> {
         Tree::build(weights, parents, None)
     }
@@ -206,8 +200,6 @@ impl Tree {
             postorder: Vec::new(),
             postorder_pos: Vec::new(),
             subtree_size: Vec::new(),
-            depth: Vec::new(),
-            height: 0,
             root,
         };
         tree.recompute_derived()?;
@@ -231,8 +223,7 @@ impl Tree {
     /// the new id; no DFS, no gather. Siblings get ascending ids in child
     /// order, so the counting sort by parent keeps every child list, and it
     /// sums the children weights. Every child precedes its parent, so one
-    /// front-to-back pass sums the subtree sizes, and one back-to-front pass
-    /// gives the depths.
+    /// front-to-back pass sums the subtree sizes.
     pub fn renumbered_in_postorder(&self) -> Tree {
         let n = self.len();
         // Old id → new id is the postorder position.
@@ -256,12 +247,6 @@ impl Tree {
                 subtree_size[p as usize] += subtree_size[v];
             }
         }
-        let mut depth = vec![0u32; n];
-        for v in (0..n).rev() {
-            if parent[v] != NO_PARENT {
-                depth[v] = depth[parent[v] as usize] + 1;
-            }
-        }
         Tree {
             weights,
             parent,
@@ -271,14 +256,12 @@ impl Tree {
             postorder: (0..n).map(NodeId::from_index).collect(),
             postorder_pos: (0..n as u32).collect(),
             subtree_size,
-            depth,
-            height: self.height,
             root: NodeId(new_id[self.root.index()]),
         }
     }
 
-    /// Rebuilds the traversal arrays (postorder, positions, subtree sizes,
-    /// depths, height) from the child lists in O(n).
+    /// Rebuilds the traversal arrays (postorder, positions, subtree sizes)
+    /// from the child lists in O(n).
     ///
     /// Doubles as the acyclicity check: a parent structure with a cycle
     /// leaves the cycle's nodes unreachable from the root, so the DFS
@@ -286,8 +269,8 @@ impl Tree {
     /// reported — the same node the old walk-to-root check blamed.
     ///
     /// One DFS derives every array as it leaves each node: its position is
-    /// the postorder's length, its subtree size that length minus the length
-    /// on entry, plus one, and its depth the number of frames on the stack.
+    /// the postorder's length, and its subtree size that length minus the
+    /// length on entry, plus one.
     fn recompute_derived(&mut self) -> Result<(), TreeError> {
         let n = self.len();
         // Iterative DFS from the root, children in stored order. A frame
@@ -296,8 +279,6 @@ impl Tree {
         let mut postorder = Vec::with_capacity(n);
         let mut postorder_pos = vec![0u32; n];
         let mut subtree_size = vec![0u32; n];
-        let mut depth = vec![0u32; n];
-        let mut height = 0u32;
         let mut stack: Vec<(NodeId, u32, u32)> = Vec::with_capacity(64);
         stack.push((self.root, 0, 0));
         while let Some((node, child_idx, entry)) = stack.pop() {
@@ -308,13 +289,9 @@ impl Tree {
                 stack.push((node, child_idx + 1, entry));
                 stack.push((child, 0, len));
             } else {
-                // The stack holds exactly the node's ancestors.
                 let i = node.index();
-                let d = stack.len() as u32;
                 postorder_pos[i] = len;
                 subtree_size[i] = len - entry + 1;
-                depth[i] = d;
-                height = height.max(d);
                 postorder.push(node);
             }
         }
@@ -333,8 +310,6 @@ impl Tree {
         self.postorder = postorder;
         self.postorder_pos = postorder_pos;
         self.subtree_size = subtree_size;
-        self.depth = depth;
-        self.height = height;
         Ok(())
     }
 
@@ -477,18 +452,34 @@ impl Tree {
         self.postorder_pos[node.index()] as usize
     }
 
-    /// Depth of `node` (the root has depth 0); precomputed, O(1).
+    /// Depth of `node` (the root has depth 0): a walk up the parents,
+    /// O(depth). A caller that reads many depths computes them in one pass
+    /// over the postorder instead, parents before children.
     // lint: no_alloc
-    #[inline]
     pub fn depth(&self, node: NodeId) -> usize {
-        self.depth[node.index()] as usize
+        let mut depth = 0;
+        let mut v = self.parent[node.index()];
+        while v != NO_PARENT {
+            depth += 1;
+            v = self.parent[v as usize];
+        }
+        depth
     }
 
-    /// Height of the tree: the maximum depth over all nodes; precomputed,
-    /// O(1).
-    #[inline]
+    /// Height of the tree: the maximum depth over all nodes, in one pass
+    /// over the postorder from the root down, O(n).
     pub fn height(&self) -> usize {
-        self.height as usize
+        let mut depth = vec![0u32; self.len()];
+        let mut height = 0;
+        for &v in self.postorder.iter().rev() {
+            let p = self.parent[v.index()];
+            if p != NO_PARENT {
+                let d = depth[p as usize] + 1;
+                depth[v.index()] = d;
+                height = height.max(d);
+            }
+        }
+        height as usize
     }
 
     /// `true` iff all nodes have output size exactly 1 (a *homogeneous* tree
@@ -504,7 +495,7 @@ impl Tree {
     /// This is the structural primitive behind node expansion
     /// (see [`crate::expand`]). Every array is patched in place (see the
     /// module docs): O(n − p) to shift the postorder positions after
-    /// `node`'s position `p`, plus O(subtree size + depth) of `node`.
+    /// `node`'s position `p`, plus O(depth) of `node`.
     ///
     /// # Panics
     /// Panics if the parent's children weight overflows `u64`, which needs
@@ -545,7 +536,6 @@ impl Tree {
         // closes the enlarged subtree right after it.
         let new_pos = self.postorder_pos[i] + 1;
         let end = new_pos as usize;
-        let start = end - self.subtree_size[i] as usize;
         self.postorder.insert(end, new);
         for &later in &self.postorder[end + 1..] {
             self.postorder_pos[later.index()] += 1;
@@ -559,15 +549,6 @@ impl Tree {
         while ancestor != NO_PARENT {
             self.subtree_size[ancestor as usize] += 1;
             ancestor = self.parent[ancestor as usize];
-        }
-
-        // The new node takes `node`'s depth; `node`'s subtree moves one
-        // level down.
-        self.depth.push(self.depth[i]);
-        for &v in &self.postorder[start..end] {
-            let d = self.depth[v.index()] + 1;
-            self.depth[v.index()] = d;
-            self.height = self.height.max(d);
         }
         new
     }
@@ -846,8 +827,6 @@ mod tests {
             postorder: Vec::new(),
             postorder_pos: Vec::new(),
             subtree_size: Vec::new(),
-            depth: Vec::new(),
-            height: 0,
             root: NodeId(0),
         };
         assert_eq!(t.validate(), Err(TreeError::Empty));
@@ -981,11 +960,24 @@ mod tests {
         }};
     }
 
+    /// Every node's depth, in one pass over the postorder from the root
+    /// down (`Tree::depth` walks up the parents, O(depth) per call).
+    fn depths(t: &Tree) -> Vec<usize> {
+        let mut depth = vec![0; t.len()];
+        for &v in t.postorder().iter().rev() {
+            if let Some(p) = t.parent(v) {
+                depth[v.index()] = depth[p.index()] + 1;
+            }
+        }
+        depth
+    }
+
     /// Checks the postorder copy of `t` node by node through the map from
     /// the copy's ids to `t`'s, and against `from_parent_ids` of its arrays.
     fn assert_renumbering_keeps(t: &Tree) {
         let copy = t.renumbered_in_postorder();
         let n = t.len();
+        let (copy_depth, depth) = (depths(&copy), depths(t));
         // Node p of the copy is t.postorder()[p], children in order.
         let old = |p: NodeId| t.postorder()[p.index()];
         for p in copy.node_ids() {
@@ -994,7 +986,7 @@ mod tests {
             assert_eq!(copy.parent(p).map(old), t.parent(o));
             assert_eq!(copy.children_weight(p), t.children_weight(o));
             assert_eq!(copy.subtree_size(p), t.subtree_size(o));
-            assert_eq!(copy.depth(p), t.depth(o));
+            assert_eq!(copy_depth[p.index()], depth[o.index()]);
             let kids: Vec<NodeId> = copy.children(p).iter().map(|&c| old(c)).collect();
             assert_eq!(kids, t.children(o));
         }
@@ -1005,6 +997,7 @@ mod tests {
             .all(|(p, n)| n.index() == p));
         assert_eq!(copy.root(), NodeId::from_index(n - 1));
         assert_eq!(copy.height(), t.height());
+        assert_eq!(t.height(), depth.into_iter().max().unwrap());
         let rebuilt = Tree::from_parent_ids(copy.weights.clone(), copy.parent.clone());
         assert_eq!(rebuilt.unwrap(), copy);
         assert_eq!(copy.renumbered_in_postorder(), copy);
@@ -1311,8 +1304,8 @@ mod tests {
 
     #[test]
     fn deep_chain_builds_without_quadratic_blowup() {
-        // A 200k-deep chain: O(n) construction and O(1) depth queries; the
-        // old walk-to-root acyclicity check would take O(n^2) here.
+        // A 200k-deep chain: O(n) construction, and the old walk-to-root
+        // acyclicity check would take O(n^2) here.
         let n = 200_000usize;
         let weights = vec![1u64; n];
         let parents: Vec<Option<usize>> = (0..n)

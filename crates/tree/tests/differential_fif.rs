@@ -477,15 +477,19 @@ fn fif_matches_the_lazy_heap_on_forests_below_a_depth() {
         let n = 8 + rng.below(40) as usize;
         let tree = random_tree(&mut rng, n, [0, 2, 3][(case % 3) as usize], (1, 10));
         let whole = random_topological_order(&mut rng, &tree, tree.root());
+        let depths: Vec<usize> = tree.node_ids().map(|v| tree.depth(v)).collect();
         for depth in 1..=2 {
-            let forest: Vec<NodeId> = whole.iter().filter(|&v| tree.depth(v) >= depth).collect();
+            let forest: Vec<NodeId> = whole
+                .iter()
+                .filter(|&v| depths[v.index()] >= depth)
+                .collect();
             if forest.is_empty() {
                 continue;
             }
             let s = Schedule::new(forest);
             compare_all_bounds(&tree, &s, &mut scratch);
             let io = reference_fif(&tree, &s, largest_wbar(&tree, &s)).unwrap();
-            let waiting = s.iter().filter(|&v| tree.depth(v) == depth);
+            let waiting = s.iter().filter(|&v| depths[v.index()] == depth);
             drained += waiting.filter(|v| io.tau[v.index()] > 0).count();
         }
     }

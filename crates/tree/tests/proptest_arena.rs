@@ -1,7 +1,7 @@
 //! Differential property tests for the flat arena `Tree`.
 //!
 //! The arena stores everything as flat arrays (SoA weights, CSR children,
-//! precomputed postorder/size/depth). These tests rebuild every derived
+//! precomputed postorder/size). These tests rebuild every derived
 //! quantity with a deliberately naive reference model straight from the
 //! `(weights, parents)` arrays and assert the arena, built by either
 //! constructor, agrees on trees of up to
@@ -280,7 +280,7 @@ proptest! {
     // Fewer cases for the large trees: each one walks up to 10k nodes.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Large skewed trees (up to 10k nodes): chains drive the depth arrays
+    /// Large skewed trees (up to 10k nodes): chains drive the depth walks
     /// and the iterative postorder, stars drive wide CSR rows.
     #[test]
     fn arena_matches_reference_model_large(raw in raw_tree(10_000)) {
