@@ -4,6 +4,6 @@
 use oocts_bench::{recexpand_ablation_report, Cli};
 
 fn main() {
-    let cli = Cli::parse_or_exit(std::env::args().skip(1));
+    let cli = Cli::parse_or_exit(std::env::args_os().skip(1));
     println!("{}", recexpand_ablation_report(&cli));
 }

@@ -13,33 +13,27 @@
 //!
 //! * default — run the matrix, validate the snapshot in-process, write
 //!   `BENCH_<label>.json` (options: `--quick`, `--label L`, `--seed X`,
-//!   `--threads a,b,c`, `--imbalanced`, `--sharding instance|cell`);
+//!   `--threads a,b,c` with each count at most 1024, `--imbalanced`);
 //! * `--validate FILE` — parse and schema-check an existing snapshot, exit
 //!   non-zero on violation (the CI gate);
 //! * `--emit-corpus DIR` — regenerate the golden regression corpus
 //!   (`*.tree` snapshots + `golden.tsv`) into `DIR`; the committed copy
 //!   lives in `tests/corpus/`.
 //!
-//! The `BENCH_pr10_before.json` / `BENCH_pr10.json` pair at the repository
-//! root was produced with:
-//!
-//! ```text
-//! bench --imbalanced --threads 8 --sharding instance --label pr10_before
-//! bench --imbalanced --threads 8 --sharding cell     --label pr10
-//! ```
-//!
-//! Usage errors exit with code 2.
+//! Usage errors, an argument that is not valid UTF-8 among them, exit with
+//! code 2.
 
+use std::ffi::OsString;
 use std::path::Path;
 use std::process::ExitCode;
 
 use oocts_bench::perf::{corpus_golden, corpus_instances, run_bench, validate_bench, BenchConfig};
+use oocts_bench::{utf8_arg, MAX_THREADS};
 use oocts_gen::corpus::{format_golden, format_instance};
-use oocts_profile::engine::Granularity;
 use serde::value::Value;
 
 const USAGE: &str = "usage: bench [--quick] [--label L] [--seed X] [--threads a,b,c] \
-                     [--imbalanced] [--sharding instance|cell]\n\
+                     [--imbalanced]\n\
                      \x20      bench --validate BENCH_x.json\n\
                      \x20      bench --emit-corpus tests/corpus";
 
@@ -52,13 +46,16 @@ enum Mode {
 }
 
 /// Parses the bench command line; a `String` error is a usage error.
-fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Mode, String> {
+fn parse_args(args: impl IntoIterator<Item = impl Into<OsString>>) -> Result<Mode, String> {
     let mut config = BenchConfig::default();
-    let mut args = args.into_iter();
+    let mut args = args
+        .into_iter()
+        .map(|arg| utf8_arg(arg).map_err(|e| e.to_string()));
     while let Some(arg) = args.next() {
+        let arg = arg?;
         let mut value = |name: &str| {
             args.next()
-                .ok_or_else(|| format!("missing value for {name}"))
+                .unwrap_or_else(|| Err(format!("missing value for {name}")))
         };
         match arg.as_str() {
             "--quick" => config.quick = true,
@@ -77,17 +74,11 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Mode, String> {
                 if config.threads.is_empty() {
                     return Err("--threads wants numbers".to_string());
                 }
-            }
-            "--sharding" => {
-                config.granularity = match value("--sharding")?.as_str() {
-                    "cell" => Granularity::Cell,
-                    "instance" => Granularity::Instance,
-                    other => {
-                        return Err(format!(
-                            "--sharding wants 'instance' or 'cell', found {other:?}"
-                        ))
-                    }
-                };
+                if let Some(t) = config.threads.iter().find(|&&t| t > MAX_THREADS) {
+                    return Err(format!(
+                        "--threads: {t} is out of range (expected 0 to {MAX_THREADS})"
+                    ));
+                }
             }
             "--validate" => return Ok(Mode::Validate(value("--validate")?)),
             "--emit-corpus" => return Ok(Mode::EmitCorpus(value("--emit-corpus")?, config)),
@@ -99,7 +90,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Mode, String> {
 }
 
 fn main() -> ExitCode {
-    let config = match parse_args(std::env::args().skip(1)) {
+    let config = match parse_args(std::env::args_os().skip(1)) {
         Ok(Mode::Run(config)) => config,
         Ok(Mode::Validate(path)) => return validate_file(Path::new(&path)),
         Ok(Mode::EmitCorpus(dir, config)) => return emit_corpus(Path::new(&dir), &config),
@@ -206,4 +197,39 @@ fn emit_corpus(dir: &Path, config: &BenchConfig) -> ExitCode {
         dir.display()
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn threads(list: &str) -> Result<Vec<usize>, String> {
+        match parse_args(["--threads", list])? {
+            Mode::Run(config) => Ok(config.threads),
+            _ => unreachable!("--threads alone runs the matrix"),
+        }
+    }
+
+    #[test]
+    fn thread_counts_are_bounded() {
+        assert_eq!(threads("0,1,1024"), Ok(vec![0, 1, 1024]));
+        for (list, huge) in [("1025", 1025), ("1,100000", 100_000)] {
+            assert_eq!(
+                threads(list).unwrap_err(),
+                format!("--threads: {huge} is out of range (expected 0 to 1024)")
+            );
+        }
+        assert_eq!(threads("1,x").unwrap_err(), "--threads wants numbers");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn arguments_that_are_not_utf8_are_usage_errors() {
+        use std::os::unix::ffi::OsStringExt;
+        let bad = || OsString::from_vec(b"\xff".to_vec());
+        for args in [vec![bad()], vec!["--label".into(), bad()]] {
+            let err = parse_args(args).err().expect("a usage error");
+            assert_eq!(err, "\u{fffd}: not valid UTF-8");
+        }
+    }
 }

@@ -3,7 +3,7 @@ use oocts_bench::{trees_figure, Cli};
 use oocts_profile::bounds::MemoryBound;
 
 fn main() {
-    let cli = Cli::parse_or_exit(std::env::args().skip(1));
+    let cli = Cli::parse_or_exit(std::env::args_os().skip(1));
     let report = trees_figure(&cli, MemoryBound::BelowPeak, "Figure 11");
     println!("{report}");
 }

@@ -32,6 +32,7 @@
 
 pub mod perf;
 
+use std::ffi::OsString;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -125,23 +126,37 @@ impl std::error::Error for CliError {}
 pub const USAGE: &str = "options: --trees N --nodes K --scale S --seed X --threads T \
                          --algos a,b,c --no-full --quick";
 
+/// The largest `--threads` the binaries accept. The engine starts up to
+/// that many threads per phase, one per task at most.
+pub const MAX_THREADS: usize = 1024;
+
+/// A command-line argument as a string, or a [`CliError`] that shows it
+/// lossily if it is not valid UTF-8.
+pub fn utf8_arg(arg: impl Into<OsString>) -> Result<String, CliError> {
+    arg.into()
+        .into_string()
+        .map_err(|raw| CliError::new(&raw.to_string_lossy(), "not valid UTF-8"))
+}
+
 impl Cli {
     /// Parses the common command-line options; exits on `--help`.
     ///
     /// # Errors
-    /// Returns a [`CliError`] on an unknown option, a missing value, a
-    /// value that does not parse (including `--algos` names the scheduler
-    /// registry rejects), `--trees 0`, a `--nodes` outside 1 to `u32::MAX`
-    /// (the range of a node id, so no count can make the generator allocate
-    /// for a tree that cannot exist), or a `--scale` outside 1–4. Binaries
-    /// report it via [`Cli::parse_or_exit`].
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Cli, CliError> {
+    /// Returns a [`CliError`] on an argument that is not valid UTF-8, an
+    /// unknown option, a missing value, a value that does not parse
+    /// (including `--algos` names the scheduler registry rejects),
+    /// `--trees 0`, a `--nodes` outside 1 to `u32::MAX` (the range of a node
+    /// id, so no count can make the generator allocate for a tree that
+    /// cannot exist), a `--scale` outside 1–4, or a `--threads` above
+    /// [`MAX_THREADS`]. Binaries report it via [`Cli::parse_or_exit`].
+    pub fn parse(args: impl IntoIterator<Item = impl Into<OsString>>) -> Result<Cli, CliError> {
         let mut cli = Cli::default();
-        let mut args = args.into_iter().peekable();
+        let mut args = args.into_iter().map(utf8_arg);
         while let Some(arg) = args.next() {
+            let arg = arg?;
             let mut value = |name: &str| {
                 args.next()
-                    .ok_or_else(|| CliError::new(name, "missing value"))
+                    .unwrap_or_else(|| Err(CliError::new(name, "missing value")))
             };
             fn number<T: std::str::FromStr>(name: &str, raw: String) -> Result<T, CliError> {
                 raw.parse().map_err(|_| {
@@ -170,7 +185,9 @@ impl Cli {
                 }
                 "--scale" => cli.scale = within("--scale", value("--scale")?, 1, 4)?,
                 "--seed" => cli.seed = number("--seed", value("--seed")?)?,
-                "--threads" => cli.threads = number("--threads", value("--threads")?)?,
+                "--threads" => {
+                    cli.threads = within("--threads", value("--threads")?, 0, MAX_THREADS)?;
+                }
                 "--algos" => {
                     let registry = SchedulerRegistry::with_builtins();
                     let list = value("--algos")?;
@@ -202,7 +219,7 @@ impl Cli {
 
     /// [`Cli::parse`] for binaries: on a usage error, prints the error and
     /// the usage string to stderr and exits with code 2.
-    pub fn parse_or_exit(args: impl IntoIterator<Item = String>) -> Cli {
+    pub fn parse_or_exit(args: impl IntoIterator<Item = impl Into<OsString>>) -> Cli {
         Cli::parse(args).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             eprintln!("{USAGE}");
@@ -504,6 +521,31 @@ mod tests {
         let cli = parse(&["--nodes", "4294967295"]).unwrap();
         assert_eq!(cli.nodes, 4_294_967_295);
         assert_eq!(parse(&["--scale", "1"]).unwrap().scale, 1);
+    }
+
+    #[test]
+    fn cli_bounds_threads() {
+        assert_eq!(parse(&["--threads", "0"]).unwrap().threads, 0);
+        assert_eq!(parse(&["--threads", "1024"]).unwrap().threads, MAX_THREADS);
+        for huge in ["1025", "18446744073709551615"] {
+            let err = parse(&["--threads", huge]).unwrap_err();
+            assert_eq!(err.option, "--threads");
+            assert_eq!(
+                err.message,
+                format!("{huge} is out of range (expected 0 to 1024)")
+            );
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn cli_rejects_arguments_that_are_not_utf8() {
+        use std::os::unix::ffi::OsStringExt;
+        let bad = || OsString::from_vec(b"\xff".to_vec());
+        for args in [vec![bad()], vec!["--seed".into(), bad()]] {
+            let err = Cli::parse(args).unwrap_err();
+            assert_eq!(err.to_string(), "\u{fffd}: not valid UTF-8");
+        }
     }
 
     #[test]

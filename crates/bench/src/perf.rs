@@ -59,32 +59,32 @@
 //!
 //!   ```json
 //!   "engine": {
-//!     "granularity": "Cell",
 //!     "threads": 8,
 //!     "elapsed_ms": 41.7,
 //!     "copy_ms": 0.0,
 //!     "cells": 256,
 //!     "executed": 320,
-//!     "stolen": 12,
-//!     "injected": 58,
 //!     "cell_wall_ms": 33.1,
 //!     "csv_fnv64": "0x9b1a3f6c2d4e5a70"
 //!   }
 //!   ```
 //!
-//!   `granularity` is the engine decomposition (`"Cell"` or `"Instance"`);
-//!   `elapsed_ms` the parallel wall-clock of the whole run (the number the
-//!   `BENCH_pr10_before`/`BENCH_pr10` pair compares); `copy_ms` the part of
-//!   it the caller's thread spent copying large instances into postorder
-//!   numbering before the workers started, 0 when none was copied (older
-//!   snapshots lack it, and it is not required); `cells` the scheduler
-//!   cells executed; `executed`/`stolen`/`injected` the summed per-worker
-//!   task counters; `cell_wall_ms` the total engine-measured wall-time of
-//!   *this scheduler's* cells; `csv_fnv64` the FNV-1a digest of the run's
-//!   streamed per-instance CSV — deterministic, so identical digests across
-//!   snapshots prove bit-identical CSV bytes. All `*_ms` fields are
-//!   machine-dependent; everything else in `engine` except the counters is
-//!   deterministic.
+//!   `threads` is the run's worker count; `elapsed_ms` the parallel
+//!   wall-clock of the whole run; `copy_ms` the part of it the caller's
+//!   thread spent copying large instances into postorder numbering before
+//!   the workers started, 0 when none was copied; `cells` the scheduler
+//!   cells executed; `executed` the preps plus the cells; `cell_wall_ms`
+//!   the total engine-measured wall-time of *this scheduler's* cells;
+//!   `csv_fnv64` the FNV-1a digest of the run's per-instance CSV
+//!   ([`ExperimentResults::to_csv`]) — deterministic, so identical digests
+//!   across snapshots prove bit-identical CSV bytes. All `*_ms` fields are
+//!   machine-dependent; everything else in `engine` is deterministic.
+//!
+//!   The committed snapshots up to `BENCH_pr25*.json` also carry
+//!   `granularity` (`"Cell"` or `"Instance"`) and the `stolen` and
+//!   `injected` counters of the work-stealing engine since removed, and
+//!   `BENCH_pr9*.json` and `BENCH_pr10*.json` lack `copy_ms`; the validator
+//!   checks each of these only when present.
 //!
 //! Families are `"SYNTH"`, `"TREES"`, and `"IMBAL"` (the deliberately
 //! imbalanced grid of `bench --imbalanced`: one huge instance plus many
@@ -99,6 +99,7 @@
 //! [`ExperimentResults::max_peak`]: oocts_profile::runner::ExperimentResults::max_peak
 //! [`ExperimentResults::mean_performance`]: oocts_profile::runner::ExperimentResults::mean_performance
 //! [`ExperimentResults::total_schedule_time`]: oocts_profile::runner::ExperimentResults::total_schedule_time
+//! [`ExperimentResults::to_csv`]: oocts_profile::runner::ExperimentResults::to_csv
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -108,10 +109,7 @@ use oocts_core::scheduler::{builtin_schedulers, Scheduler};
 use oocts_gen::corpus::GoldenRecord;
 use oocts_gen::dataset::{synth_dataset, trees_dataset, DatasetConfig, Instance};
 use oocts_profile::bounds::MemoryBound;
-use oocts_profile::engine::Granularity;
-use oocts_profile::runner::{
-    csv_header, run_experiment, run_experiment_streaming, ExperimentConfig, ExperimentError,
-};
+use oocts_profile::runner::{run_experiment, ExperimentConfig, ExperimentError};
 use oocts_tree::Tree;
 use serde::value::Value;
 
@@ -142,12 +140,8 @@ pub struct BenchConfig {
     /// Thread counts of the matrix (each run is repeated per count).
     pub threads: Vec<usize>,
     /// Replace the matrix with the load-imbalance grid (`IMBAL` family):
-    /// one huge instance plus many tiny ones, the worst case for
-    /// instance-granularity sharding.
+    /// one huge instance plus many tiny ones.
     pub imbalanced: bool,
-    /// Execution-engine decomposition (`bench --sharding instance|cell`);
-    /// output is byte-identical either way, only wall-clock differs.
-    pub granularity: Granularity,
 }
 
 impl Default for BenchConfig {
@@ -158,7 +152,6 @@ impl Default for BenchConfig {
             seed: 0x5eed,
             threads: vec![1, 4],
             imbalanced: false,
-            granularity: Granularity::Cell,
         }
     }
 }
@@ -231,10 +224,9 @@ fn matrix_runs(config: &BenchConfig) -> Vec<MatrixRun> {
 }
 
 /// The deliberately imbalanced grid (`bench --imbalanced`): one huge SYNTH
-/// instance plus 63 tiny ones. Under instance-granularity sharding the huge
-/// instance pins a single worker for all schedulers in a row; the cell
-/// engine spreads its scheduler cells over the pool. Deterministic in
-/// `seed`, like the regular matrix.
+/// instance plus 63 tiny ones. The engine starts the huge instance's
+/// scheduler cells first, one per worker, while the tiny ones fill the
+/// other workers. Deterministic in `seed`, like the regular matrix.
 fn imbalanced_run(config: &BenchConfig) -> MatrixRun {
     let (huge_nodes, tiny_nodes) = if config.quick {
         (6_000, 150)
@@ -269,9 +261,8 @@ fn imbalanced_run(config: &BenchConfig) -> MatrixRun {
     }
 }
 
-/// Streaming FNV-1a 64-bit digest, rendered `0x`-hex — the checksum behind
-/// the `csv_fnv64` snapshot field. Fed row by row as the engine streams
-/// results, so it also proves the streamed CSV equals the batch export.
+/// FNV-1a 64-bit digest, rendered `0x`-hex — the checksum behind the
+/// `csv_fnv64` snapshot field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fnv64(u64);
 
@@ -329,16 +320,9 @@ pub fn run_bench(config: &BenchConfig) -> Result<Value, ExperimentError> {
         for &threads in &config.threads {
             let mut exp = ExperimentConfig::new(schedulers.clone(), MemoryBound::Middle);
             exp.threads = threads;
-            exp.granularity = config.granularity;
-            // The per-instance CSV is digested as the engine streams rows
-            // out, not from the assembled results: identical `csv_fnv64`
-            // values across snapshots certify bit-identical CSV bytes AND
-            // that the streamed rows equal the batch export.
+            let results = run_experiment(&run.instances, &exp)?;
             let mut digest = Fnv64::new();
-            digest.update(csv_header(&exp.scheduler_names()).as_bytes());
-            let results = run_experiment_streaming(&run.instances, &exp, |row| {
-                digest.update(row.csv_row().as_bytes());
-            })?;
+            digest.update(results.to_csv().as_bytes());
             let engine = results.engine.as_ref();
             for (a, name) in results.scheduler_names().iter().enumerate() {
                 let mut cell = Value::object()
@@ -360,17 +344,11 @@ pub fn run_bench(config: &BenchConfig) -> Result<Value, ExperimentError> {
                     cell = cell.with(
                         "engine",
                         Value::object()
-                            .with(
-                                "granularity",
-                                Value::Str(format!("{:?}", stats.granularity)),
-                            )
                             .with("threads", Value::U64(stats.threads as u64))
                             .with("elapsed_ms", Value::F64(stats.elapsed.as_secs_f64() * 1e3))
                             .with("copy_ms", Value::F64(stats.copy.as_secs_f64() * 1e3))
                             .with("cells", Value::U64(stats.cells))
                             .with("executed", Value::U64(stats.total_executed()))
-                            .with("stolen", Value::U64(stats.total_stolen()))
-                            .with("injected", Value::U64(stats.total_injected()))
                             .with(
                                 "cell_wall_ms",
                                 Value::F64(results.total_cell_time(a).as_secs_f64() * 1e3),
@@ -503,13 +481,15 @@ fn validate_cell(cell: &Value) -> Result<(), String> {
 fn validate_engine(engine: &Value) -> Result<(), String> {
     let field = |key: &str| engine.get(key).ok_or_else(|| format!("{key}: missing"));
 
-    let granularity = field("granularity")?
-        .as_str()
-        .ok_or("granularity: expected a string")?;
-    if granularity != "Cell" && granularity != "Instance" {
-        return Err(format!(
-            "granularity: expected Cell or Instance, found {granularity:?}"
-        ));
+    if let Some(granularity) = engine.get("granularity") {
+        let granularity = granularity
+            .as_str()
+            .ok_or("granularity: expected a string")?;
+        if granularity != "Cell" && granularity != "Instance" {
+            return Err(format!(
+                "granularity: expected Cell or Instance, found {granularity:?}"
+            ));
+        }
     }
     let threads = field("threads")?
         .as_u64()
@@ -518,6 +498,10 @@ fn validate_engine(engine: &Value) -> Result<(), String> {
         return Err("threads: must be positive".to_string());
     }
     for key in ["cells", "executed", "stolen", "injected"] {
+        // Only older snapshots carry the `stolen` and `injected` counters.
+        if engine.get(key).is_none() && matches!(key, "stolen" | "injected") {
+            continue;
+        }
         field(key)?
             .as_u64()
             .ok_or_else(|| format!("{key}: expected a non-negative integer"))?;
@@ -702,7 +686,10 @@ mod tests {
         let cells = snapshot.get("cells").unwrap().as_array().unwrap();
         for cell in cells {
             let engine = cell.get("engine").expect("engine runs attach stats");
-            assert_eq!(engine.get("granularity").unwrap().as_str(), Some("Cell"));
+            // The fields of the removed work-stealing engine are gone.
+            for gone in ["granularity", "stolen", "injected"] {
+                assert!(engine.get(gone).is_none(), "{gone}");
+            }
             assert_eq!(engine.get("threads").unwrap().as_u64(), Some(2));
             // Every cell of the matrix was executed by some worker.
             let cells_run = engine.get("cells").unwrap().as_u64().unwrap();
@@ -717,69 +704,34 @@ mod tests {
 
     #[test]
     fn imbalanced_grid_is_deterministic_across_shardings() {
-        let base = {
+        let run = |threads: usize| {
             let mut c = BenchConfig::quick();
             c.imbalanced = true;
-            c.threads = vec![4];
-            c
+            c.threads = vec![threads];
+            let snap = run_bench(&c).expect("feasible");
+            validate_bench(&snap).expect("IMBAL snapshots are schema-valid");
+            match snap.get("cells") {
+                Some(Value::Array(c)) => c.clone(),
+                _ => unreachable!(),
+            }
         };
-        let cell = run_bench(&base).expect("feasible");
-        let instance = {
-            let mut c = base.clone();
-            c.granularity = Granularity::Instance;
-            run_bench(&c).expect("feasible")
-        };
-        for snap in [&cell, &instance] {
-            validate_bench(snap).expect("IMBAL snapshots are schema-valid");
-        }
-        let cells_of = |snap: &Value| match snap.get("cells") {
-            Some(Value::Array(c)) => c.clone(),
-            _ => unreachable!(),
-        };
-        let (a, b) = (cells_of(&cell), cells_of(&instance));
+        let (a, b) = (run(1), run(4));
         assert_eq!(a.len(), 3, "one IMBAL run x 3 IMBAL_SCHEDULERS");
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.get("family").unwrap().as_str(), Some("IMBAL"));
-            // Deterministic fields are sharding-independent...
+            // Deterministic fields do not depend on the thread count...
             assert_eq!(x.get("total_io"), y.get("total_io"));
             assert_eq!(x.get("max_peak"), y.get("max_peak"));
             assert_eq!(x.get("instances"), y.get("instances"));
-            // ...and so is the streamed CSV, byte for byte.
+            // ...and neither does the CSV, byte for byte.
+            let digest = |cell: &Value| cell.get("engine").unwrap().get("csv_fnv64").cloned();
+            assert_eq!(digest(x), digest(y));
+            assert_eq!(digest(x).unwrap().as_str().map(str::len), Some(18));
             assert_eq!(
-                x.get("engine").unwrap().get("csv_fnv64"),
-                y.get("engine").unwrap().get("csv_fnv64")
-            );
-            assert_eq!(
-                y.get("engine")
-                    .unwrap()
-                    .get("granularity")
-                    .unwrap()
-                    .as_str(),
-                Some("Instance")
+                y.get("engine").unwrap().get("threads").unwrap().as_u64(),
+                Some(4)
             );
         }
-    }
-
-    #[test]
-    fn streamed_csv_digest_matches_the_batch_export() {
-        let run = imbalanced_run(&BenchConfig::quick());
-        let registry = SchedulerRegistry::with_builtins();
-        let mut exp = ExperimentConfig::new(
-            registry.get_list(BENCH_SCHEDULERS).unwrap(),
-            MemoryBound::Middle,
-        );
-        exp.threads = 3;
-        let mut digest = Fnv64::new();
-        digest.update(csv_header(&exp.scheduler_names()).as_bytes());
-        let results = run_experiment_streaming(&run.instances, &exp, |row| {
-            digest.update(row.csv_row().as_bytes());
-        })
-        .expect("feasible");
-        let mut batch = Fnv64::new();
-        batch.update(results.to_csv().as_bytes());
-        assert_eq!(digest.render(), batch.render());
-        assert!(digest.render().starts_with("0x"));
-        assert_eq!(digest.render().len(), 18);
     }
 
     #[test]
@@ -837,6 +789,11 @@ mod tests {
             }
         })
         .expect("copy_ms is optional");
+        // `stolen` and `injected`, from older snapshots, are checked when
+        // present.
+        let err = with_engine(&|e| e.set("stolen", Value::Str("some".to_string()))).unwrap_err();
+        assert!(err.contains("cells[2].engine.stolen"), "{err}");
+        with_engine(&|e| e.set("injected", Value::U64(58))).expect("a count is valid");
         let err = with_engine(&|e| {
             if let Value::Object(entries) = e {
                 entries.retain(|(k, _)| k != "elapsed_ms");

@@ -14,7 +14,6 @@
 
 use std::cmp::Reverse;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::OnceLock;
 
 use oocts_sparse::ordering::{compute_ordering, Ordering};
@@ -22,7 +21,7 @@ use oocts_sparse::{
     assembly_tree, grid_laplacian_2d, grid_laplacian_3d, random_symmetric, AssemblyOptions,
     SymmetricPattern,
 };
-use oocts_tree::Tree;
+use oocts_tree::{claim_in_order, Tree};
 
 use crate::random::random_binary_tree;
 
@@ -253,7 +252,7 @@ fn trees_jobs(config: &DatasetConfig) -> Vec<Job> {
 
 /// Runs `run` on every job, on up to `threads` scoped threads counting the
 /// caller's, and returns the outputs in job order. Workers claim jobs in
-/// descending `cost` (ties in job order) through one atomic counter.
+/// descending `cost` (ties in job order) through [`claim_in_order`].
 ///
 /// # Panics
 /// Re-raises the panic of a job once every worker has stopped.
@@ -265,27 +264,10 @@ fn run_jobs<J: Sync, T: Send + Sync>(
 ) -> Vec<T> {
     let mut order: Vec<usize> = (0..jobs.len()).collect();
     order.sort_by_key(|&j| Reverse(cost(&jobs[j])));
-    // `next` only hands out indices and publishes no data (`Relaxed`): the
-    // slots synchronise their own writes, and the scope's joins order every
-    // write before the slots are read.
-    let next = AtomicUsize::new(0);
     let slots: Vec<OnceLock<T>> = jobs.iter().map(|_| OnceLock::new()).collect();
-    let work = || {
-        while let Some(&j) = order.get(next.fetch_add(1, AtomicOrdering::Relaxed)) {
-            // Each index is claimed once, so the slot is empty.
-            let _ = slots[j].set(run(&jobs[j]));
-        }
-    };
-    std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..threads.min(jobs.len()))
-            .map(|_| scope.spawn(work))
-            .collect();
-        work();
-        for helper in helpers {
-            if let Err(panic) = helper.join() {
-                std::panic::resume_unwind(panic);
-            }
-        }
+    claim_in_order(&order, threads, |j| {
+        // Each index is claimed once, so the slot is empty.
+        let _ = slots[j].set(run(&jobs[j]));
     });
     slots.into_iter().filter_map(OnceLock::into_inner).collect()
 }
@@ -294,6 +276,7 @@ fn run_jobs<J: Sync, T: Send + Sync>(
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
     use std::sync::Barrier;
 
     /// The instances of `jobs` built one after another on this thread.

@@ -9,6 +9,7 @@
 //! Exit codes: 0 — clean, 1 — violations found, 2 — usage or I/O error.
 
 use std::env;
+use std::ffi::OsString;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -34,7 +35,15 @@ fn main() -> ExitCode {
     let mut verbose = false;
     let mut emit_callgraph = false;
     let mut only: Vec<String> = Vec::new();
-    let mut args = env::args().skip(1);
+    let args: Result<Vec<String>, OsString> =
+        env::args_os().skip(1).map(OsString::into_string).collect();
+    let mut args = match args {
+        Ok(args) => args.into_iter(),
+        Err(raw) => {
+            let raw = raw.to_string_lossy();
+            return usage_error(&format!("argument {raw:?} is not valid UTF-8"));
+        }
+    };
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => match args.next() {

@@ -11,8 +11,8 @@
 //! * [`profile`] — Dolan–Moré performance profiles (cumulative distribution
 //!   of the overhead with respect to the best algorithm on each instance),
 //!   with CSV and ASCII rendering;
-//! * [`engine`] — the cell-granularity work-stealing execution engine that
-//!   schedules (instance × scheduler) cells over per-worker deques;
+//! * [`engine`] — the execution engine: every instance's prep, then every
+//!   (instance × scheduler) cell longest first, on scoped threads;
 //! * [`runner`] — the experiment runner front-end: configuration, result
 //!   tables, CSV export, all executed on the engine.
 
@@ -28,10 +28,10 @@ pub mod profile;
 pub mod runner;
 
 pub use bounds::{MemoryBound, MemoryBounds};
-pub use engine::{EngineStats, Granularity, WorkerStats};
+pub use engine::EngineStats;
 pub use metric::performance;
 pub use profile::PerformanceProfile;
 pub use runner::{
-    csv_header, run_experiment, run_experiment_streaming, ExperimentConfig, ExperimentError,
-    ExperimentResults, InstanceResult,
+    csv_header, run_experiment, ExperimentConfig, ExperimentError, ExperimentResults,
+    InstanceResult,
 };

@@ -2,12 +2,11 @@
 //!
 //! Evaluates a set of [`Scheduler`]s over a dataset of instances, one memory
 //! bound at a time, and collects per-instance I/O volumes and performances.
-//! Execution is delegated to the work-stealing [`crate::engine`]:
-//! the experiment matrix is decomposed into (instance × scheduler) cells,
-//! distributed over per-worker deques, and re-assembled into deterministic
-//! instance order — see the module docs of [`crate::engine`] for the full
-//! protocol. Each cell stays sequential inside, exactly like the paper's
-//! simulations.
+//! Execution is delegated to [`crate::engine`], which runs the
+//! (instance × scheduler) cells of the grid on scoped threads and assembles
+//! the rows in instance order — see its module docs for the two phases and
+//! the failure rule. Each cell stays sequential inside, exactly like the
+//! paper's simulations.
 //!
 //! The runner is generic over the strategy set: anything implementing
 //! [`Scheduler`] — built-in or user-defined, typically obtained from
@@ -23,7 +22,7 @@ use oocts_core::scheduler::{synth_schedulers, trees_schedulers, Scheduler};
 use oocts_tree::{Tree, TreeError};
 
 use crate::bounds::{MemoryBound, MemoryBounds};
-use crate::engine::{self, EngineStats, Granularity};
+use crate::engine::{self, EngineStats};
 use crate::profile::PerformanceProfile;
 
 /// Configuration of one experiment (one dataset × one memory bound).
@@ -33,16 +32,13 @@ pub struct ExperimentConfig {
     pub schedulers: Vec<Arc<dyn Scheduler>>,
     /// Which of the paper's memory bounds to use.
     pub bound: MemoryBound,
-    /// Number of worker threads (0 = one per available CPU).
+    /// Number of worker threads (0 = one per available CPU); each phase of
+    /// the engine runs at most one per task.
     pub threads: usize,
     /// Skip instances whose optimal in-core peak equals the structural lower
     /// bound (no I/O is ever needed on them); the paper filters the TREES
     /// dataset this way.
     pub filter_interesting: bool,
-    /// How the engine decomposes the experiment matrix into work items
-    /// (cell granularity by default; instance granularity reproduces the
-    /// pre-engine sharding for comparisons).
-    pub granularity: Granularity,
 }
 
 impl ExperimentConfig {
@@ -53,7 +49,6 @@ impl ExperimentConfig {
             bound,
             threads: 0,
             filter_interesting: false,
-            granularity: Granularity::Cell,
         }
     }
 
@@ -84,7 +79,6 @@ impl std::fmt::Debug for ExperimentConfig {
             .field("bound", &self.bound)
             .field("threads", &self.threads)
             .field("filter_interesting", &self.filter_interesting)
-            .field("granularity", &self.granularity)
             .finish()
     }
 }
@@ -126,10 +120,7 @@ impl InstanceResult {
     }
 
     /// This instance's CSV row (RFC-4180-quoted, newline-terminated) — one
-    /// line of [`ExperimentResults::to_csv`]. Streaming consumers emit
-    /// [`csv_header`] once and then one row per
-    /// [`run_experiment_streaming`] callback; the concatenation is
-    /// byte-identical to the batch export.
+    /// line of [`ExperimentResults::to_csv`].
     pub fn csv_row(&self) -> String {
         let mut out = String::with_capacity(self.name.len() + 8 * 12 + self.io_volumes.len() * 12);
         push_csv_cell(&mut out, &self.name);
@@ -165,9 +156,9 @@ pub fn csv_header(scheduler_names: &[String]) -> String {
 
 /// A failure inside [`run_experiment`], pinned to the cell that produced it.
 ///
-/// The runner abandons the remaining cells on the first error; this type
-/// records *which* (instance, scheduler) cell failed so a failure deep in a
-/// thousand-instance matrix is diagnosable without a re-run.
+/// The runner skips the cells after a failing one that have not started;
+/// this type records *which* (instance, scheduler) cell failed so a failure
+/// deep in a thousand-instance matrix is diagnosable without a re-run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentError {
     /// Name of the instance whose evaluation failed.
@@ -204,8 +195,8 @@ pub struct ExperimentResults {
     /// One entry per (kept) instance.
     pub results: Vec<InstanceResult>,
     /// Execution statistics of the engine run that produced these results
-    /// (threads, per-worker steal/execute counters, wall-clock). `None` on
-    /// results assembled outside the engine (e.g. by deserialization).
+    /// (threads, prep and cell counts, wall-clock). `None` on results
+    /// assembled outside the engine.
     pub engine: Option<EngineStats>,
 }
 
@@ -308,8 +299,8 @@ impl ExperimentResults {
     }
 
     /// Per-instance CSV (one row per instance, one I/O column per strategy),
-    /// RFC-4180-quoted where needed. Byte-identical to streaming
-    /// [`csv_header`] + [`InstanceResult::csv_row`] per row.
+    /// RFC-4180-quoted where needed: [`csv_header`], then
+    /// [`InstanceResult::csv_row`] per row.
     pub fn to_csv(&self) -> String {
         let mut out = csv_header(&self.scheduler_names());
         for r in &self.results {
@@ -323,11 +314,12 @@ impl ExperimentResults {
 /// the results. Instance order is preserved.
 ///
 /// # Errors
-/// Returns the error of the lowest-indexed failing cell, naming the
-/// (instance, scheduler) pair; the remaining work is abandoned as soon as
-/// any worker records an error. The paper's memory bounds are feasible by
-/// construction, so an error indicates a misconfigured instance or a buggy
-/// strategy.
+/// Returns the error of the grid's lowest failing cell, in (instance,
+/// scheduler column) order, at every thread count: once a cell fails,
+/// workers skip the cells after it that have not started, and the cells
+/// before it still run. The
+/// paper's memory bounds are feasible by construction, so an error
+/// indicates a misconfigured instance or a buggy strategy.
 ///
 /// # Panics
 /// If a strategy panics, the panic reaches the caller once every worker has
@@ -336,26 +328,7 @@ pub fn run_experiment(
     instances: &[(String, Tree)],
     config: &ExperimentConfig,
 ) -> Result<ExperimentResults, ExperimentError> {
-    run_experiment_streaming(instances, config, |_| {})
-}
-
-/// Like [`run_experiment`], but additionally hands every completed row to
-/// `on_row` — in deterministic instance order — as soon as its instance
-/// finishes, typically long before the whole grid does. This is how the
-/// figure binaries stream CSV rows to disk while large instances are still
-/// being solved.
-///
-/// Rows observed by `on_row` before an error surfaces are valid results of
-/// their instances; on error, the partial stream simply ends early.
-///
-/// # Errors
-/// Exactly like [`run_experiment`]: the lowest-indexed failing cell wins.
-pub fn run_experiment_streaming(
-    instances: &[(String, Tree)],
-    config: &ExperimentConfig,
-    on_row: impl FnMut(&InstanceResult),
-) -> Result<ExperimentResults, ExperimentError> {
-    let (results, stats) = engine::run(instances, config, on_row)?;
+    let (results, stats) = engine::run(instances, config)?;
     Ok(ExperimentResults {
         schedulers: config.schedulers.clone(),
         bound: config.bound,
@@ -369,7 +342,7 @@ mod tests {
     use super::*;
     use oocts_core::scheduler::PostOrderMinIo;
     use oocts_tree::{Schedule, TreeBuilder, TreeError};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Mutex;
 
     fn instance(seed: u64) -> (String, Tree) {
         // Small deterministic trees with varying weights.
@@ -568,108 +541,88 @@ mod tests {
         }
     }
 
-    /// Schedulers for the mid-instance-abort test below. On the big
-    /// instance, `GateFirst` blocks until the poison instance has failed
-    /// (plus a grace period for the worker loop to raise the cancellation
-    /// flag); on the small poison instance it fails immediately. `CountSecond`
-    /// records whether it was ever invoked on the big instance — it must not
-    /// be, because the runner checks the cancellation flag *between*
-    /// scheduler cells.
-    #[derive(Debug)]
-    struct GateFirst {
-        poisoned: Arc<AtomicBool>,
-        big_nodes: usize,
+    /// A chain of `len` nodes named `name`.
+    fn chain(name: &str, len: u64) -> (String, Tree) {
+        let mut b = TreeBuilder::new();
+        let mut prev = b.add_root(1);
+        for w in 2..=len {
+            prev = b.add_child(prev, w);
+        }
+        (name.to_string(), b.build().unwrap())
     }
 
-    impl Scheduler for GateFirst {
+    #[test]
+    fn the_lowest_failing_cell_is_reported_at_every_thread_count() {
+        // Every cell fails, and the cells of the larger, later instances
+        // are claimed first: the report must still be the lowest cell.
+        let instances: Vec<_> = (0..8u64)
+            .map(|k| chain(&format!("inst-{k}"), 3 + k))
+            .collect();
+        for threads in [1, 2, 4] {
+            let config = ExperimentConfig {
+                threads,
+                ..ExperimentConfig::new(vec![Arc::new(AlwaysFails)], MemoryBound::Middle)
+            };
+            let err = run_experiment(&instances, &config).unwrap_err();
+            assert_eq!(err.instance, "inst-0", "threads = {threads}");
+        }
+    }
+
+    /// Logs every call, by its name and the tree's node count, and fails on
+    /// trees of `fails_on` nodes.
+    #[derive(Debug)]
+    struct Logged {
+        name: &'static str,
+        fails_on: usize,
+        log: Arc<Mutex<Vec<(&'static str, usize)>>>,
+    }
+
+    impl Scheduler for Logged {
         fn name(&self) -> String {
-            "GateFirst".to_string()
+            self.name.to_string()
         }
 
         fn schedule(&self, tree: &Tree, _memory: u64) -> Result<Schedule, TreeError> {
-            if tree.len() == self.big_nodes {
-                // Wait (bounded) for the poison instance to fail on the
-                // other worker, then give its worker loop time to store the
-                // cancellation flag.
-                let started = std::time::Instant::now();
-                while !self.poisoned.load(Ordering::Acquire) {
-                    assert!(
-                        started.elapsed() < Duration::from_secs(10),
-                        "poison instance never failed; is the runner still parallel?"
-                    );
-                    std::thread::yield_now();
-                }
-                std::thread::sleep(Duration::from_millis(200));
-                Ok(Schedule::postorder(tree))
-            } else {
-                self.poisoned.store(true, Ordering::Release);
+            self.log.lock().unwrap().push((self.name, tree.len()));
+            if tree.len() == self.fails_on {
                 Err(TreeError::Empty)
+            } else {
+                Ok(Schedule::postorder(tree))
             }
-        }
-    }
-
-    #[derive(Debug)]
-    struct CountSecond {
-        ran_on_big: Arc<AtomicBool>,
-        big_nodes: usize,
-    }
-
-    impl Scheduler for CountSecond {
-        fn name(&self) -> String {
-            "CountSecond".to_string()
-        }
-
-        fn schedule(&self, tree: &Tree, _memory: u64) -> Result<Schedule, TreeError> {
-            if tree.len() == self.big_nodes {
-                self.ran_on_big.store(true, Ordering::Release);
-            }
-            Ok(Schedule::postorder(tree))
         }
     }
 
     #[test]
     fn cancellation_aborts_mid_instance_between_scheduler_cells() {
-        // Instance 0 is "big" (9 nodes), instance 1 is the poison (5 nodes).
-        // With two workers, the big instance's first cell blocks until the
-        // poison instance has failed; by the time it returns, the
-        // cancellation flag is up and the second scheduler must never run
-        // on the big instance.
-        let mut b = TreeBuilder::new();
-        let r = b.add_root(1);
-        let mut prev = r;
-        for w in 2..10u64 {
-            prev = b.add_child(prev, w);
-        }
-        let big = ("big".to_string(), b.build().unwrap());
-        assert_eq!(big.1.len(), 9);
+        // Instance 0 is the largest, so on one thread its first cell, which
+        // fails, is claimed first. Every other cell comes after it in the
+        // grid, so none may start: neither the second scheduler on
+        // instance 0 nor any cell of instance 1.
+        let big = chain("big", 9);
         let small = instance(0);
         assert_eq!(small.1.len(), 5);
-
-        let poisoned = Arc::new(AtomicBool::new(false));
-        let ran_on_big = Arc::new(AtomicBool::new(false));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let logged = |name, fails_on| {
+            Arc::new(Logged {
+                name,
+                fails_on,
+                log: Arc::clone(&log),
+            }) as Arc<dyn Scheduler>
+        };
         let config = ExperimentConfig {
-            threads: 2,
+            threads: 1,
             ..ExperimentConfig::new(
-                vec![
-                    Arc::new(GateFirst {
-                        poisoned: Arc::clone(&poisoned),
-                        big_nodes: 9,
-                    }),
-                    Arc::new(CountSecond {
-                        ran_on_big: Arc::clone(&ran_on_big),
-                        big_nodes: 9,
-                    }),
-                ],
+                vec![logged("FailsOnBig", 9), logged("Second", 0)],
                 MemoryBound::Middle,
             )
         };
         let err = run_experiment(&[big, small], &config).unwrap_err();
-        assert_eq!(err.instance, "inst-0");
-        assert_eq!(err.scheduler, "GateFirst");
-        assert!(
-            !ran_on_big.load(Ordering::Acquire),
-            "the second scheduler cell of the big instance ran after the \
-             poison error; cancellation must abort mid-instance"
+        assert_eq!(err.instance, "big");
+        assert_eq!(err.scheduler, "FailsOnBig");
+        assert_eq!(
+            *log.lock().unwrap(),
+            [("FailsOnBig", 9)],
+            "a cell after the failing one started"
         );
     }
 

@@ -26,13 +26,16 @@
 //!   into an I/O volume (optimal per Theorem 1 of the paper);
 //! * [`expand`] — the node-expansion transformation (paper, Figure 3) on which
 //!   Theorem 2 and the `RecExpand` heuristics are built;
-//! * [`dot`] — Graphviz export for debugging and documentation.
+//! * [`dot`] — Graphviz export for debugging and documentation;
+//! * [`claim`] — the claim loop that runs independent jobs on scoped
+//!   threads, shared by the dataset build and the experiment engine.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::disallowed_methods)]
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 
+pub mod claim;
 pub mod dot;
 pub mod error;
 pub mod expand;
@@ -40,6 +43,7 @@ pub mod schedule;
 pub mod simulate;
 pub mod tree;
 
+pub use claim::claim_in_order;
 pub use error::TreeError;
 pub use expand::ExpandedTree;
 pub use schedule::Schedule;

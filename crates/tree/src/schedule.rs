@@ -1,7 +1,5 @@
 //! Execution schedules (the `σ` part of a traversal).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TreeError;
 use crate::tree::{NodeId, Tree};
 
@@ -10,7 +8,7 @@ use crate::tree::{NodeId, Tree};
 /// A schedule may cover the whole tree or only a subtree: the only structural
 /// requirement (checked by [`Schedule::validate`]) is that whenever a node is
 /// scheduled, all of its children are scheduled before it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
     order: Vec<NodeId>,
 }

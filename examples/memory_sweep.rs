@@ -8,15 +8,22 @@ use oocts::prelude::*;
 use oocts_gen::random_binary_tree;
 use oocts_profile::bounds::MemoryBounds;
 
+/// Command-line argument `i`, if given; exits with a usage error (code 2)
+/// on one that is not valid UTF-8.
+fn arg(i: usize) -> Option<String> {
+    let raw = std::env::args_os().nth(i)?;
+    Some(raw.into_string().unwrap_or_else(|raw| {
+        eprintln!(
+            "memory_sweep: argument {:?} is not valid UTF-8",
+            raw.to_string_lossy()
+        );
+        std::process::exit(2);
+    }))
+}
+
 fn main() {
-    let nodes: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1000);
-    let seed: u64 = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
+    let nodes: usize = arg(1).and_then(|s| s.parse().ok()).unwrap_or(1000);
+    let seed: u64 = arg(2).and_then(|s| s.parse().ok()).unwrap_or(42);
 
     let tree = random_binary_tree(nodes, 1..=100, seed);
     let bounds = MemoryBounds::of(&tree);

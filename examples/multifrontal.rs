@@ -14,8 +14,17 @@ use oocts_sparse::ordering::{compute_ordering, Ordering};
 use oocts_sparse::{assembly_tree, grid_laplacian_2d, AssemblyOptions};
 
 fn main() {
-    let side: usize = std::env::args()
+    let side: usize = std::env::args_os()
         .nth(1)
+        .map(|raw| {
+            raw.into_string().unwrap_or_else(|raw| {
+                eprintln!(
+                    "multifrontal: argument {:?} is not valid UTF-8",
+                    raw.to_string_lossy()
+                );
+                std::process::exit(2);
+            })
+        })
         .and_then(|s| s.parse().ok())
         .unwrap_or(40);
 

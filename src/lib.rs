@@ -79,11 +79,11 @@ pub mod prelude {
     };
     pub use oocts_minmem::{opt_min_mem, post_order_min_mem};
     pub use oocts_profile::bounds::MemoryBounds;
-    pub use oocts_profile::engine::{EngineStats, Granularity, WorkerStats};
+    pub use oocts_profile::engine::EngineStats;
     pub use oocts_profile::profile::PerformanceProfile;
     pub use oocts_profile::runner::{
-        csv_header, run_experiment, run_experiment_streaming, ExperimentConfig, ExperimentError,
-        ExperimentResults, InstanceResult,
+        csv_header, run_experiment, ExperimentConfig, ExperimentError, ExperimentResults,
+        InstanceResult,
     };
     pub use oocts_tree::{fif_io, peak_memory, NodeId, Schedule, Tree, TreeBuilder};
 }

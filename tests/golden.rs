@@ -6,11 +6,10 @@
 //! 1. every committed `*.tree` snapshot round-trips **byte-identically**
 //!    through the `oocts-corpus v1` parser/formatter;
 //! 2. replaying every (instance, scheduler) cell of `golden.tsv` through
-//!    [`run_experiment`] — i.e. through the work-stealing execution engine
-//!    at cell granularity — reproduces the committed file byte-identically,
-//!    at 1 thread *and* at 4 threads;
-//! 3. the CSV export of the replay is byte-identical across thread counts
-//!    *and* across shardings (cell vs. instance granularity).
+//!    [`run_experiment`] — i.e. through the execution engine — reproduces
+//!    the committed file byte-identically, at 1 thread *and* at 4 threads;
+//! 3. the CSV export of the replay is byte-identical at 1, 2 and 4
+//!    threads.
 //!
 //! Regenerate the corpus (only when a behavioural change is intended) with
 //! `cargo run --release -p oocts-bench --bin bench -- --emit-corpus
@@ -66,13 +65,9 @@ fn tree_snapshots_round_trip_byte_identically() {
 }
 
 /// Replays the whole corpus through `run_experiment` with the given thread
-/// count and sharding, and returns the results plus the replayed golden
-/// records keyed by (instance, scheduler). The default sharding exercises
-/// the work-stealing engine at **cell** granularity.
-fn replay(
-    threads: usize,
-    granularity: Granularity,
-) -> (ExperimentResults, HashMap<(String, String), GoldenRecord>) {
+/// count, and returns the results plus the replayed golden records keyed
+/// by (instance, scheduler).
+fn replay(threads: usize) -> (ExperimentResults, HashMap<(String, String), GoldenRecord>) {
     let instances = load_dir(&corpus_dir()).expect("corpus loads");
     assert!(!instances.is_empty());
     let named: Vec<(String, Tree)> = instances.into_iter().map(|i| (i.name, i.tree)).collect();
@@ -83,12 +78,10 @@ fn replay(
         .unwrap();
     let mut config = ExperimentConfig::new(schedulers, MemoryBound::Middle);
     config.threads = threads;
-    config.granularity = granularity;
     let results = run_experiment(&named, &config).expect("the corpus is feasible at Middle");
 
-    // The run went through the execution engine with the requested sharding.
+    // The run went through the execution engine with the requested threads.
     let stats = results.engine.as_ref().expect("the engine reports stats");
-    assert_eq!(stats.granularity, granularity);
     assert_eq!(stats.threads, threads);
 
     let names = results.scheduler_names();
@@ -116,8 +109,8 @@ fn golden_replay_is_byte_identical_at_one_and_four_threads() {
     let expected = parse_golden(&committed).unwrap();
     assert!(!expected.is_empty());
 
-    let (single, single_cells) = replay(1, Granularity::Cell);
-    let (parallel, parallel_cells) = replay(4, Granularity::Cell);
+    let (single, single_cells) = replay(1);
+    let (parallel, parallel_cells) = replay(4);
 
     for cells in [&single_cells, &parallel_cells] {
         // Every committed cell was replayed, and nothing extra: the corpus
@@ -144,10 +137,9 @@ fn golden_replay_is_byte_identical_at_one_and_four_threads() {
     // And the two replays agree with each other down to the CSV bytes.
     assert_eq!(single.to_csv(), parallel.to_csv());
 
-    // Instance-granularity sharding (the pre-engine decomposition) is just
-    // as invisible in the output.
-    let (whole, _) = replay(4, Granularity::Instance);
-    assert_eq!(whole.to_csv(), parallel.to_csv());
+    // So does a third thread count.
+    let (two, _) = replay(2);
+    assert_eq!(two.to_csv(), parallel.to_csv());
 }
 
 /// Replays the corpus through the *direct* solver entry points — Liu's

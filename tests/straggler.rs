@@ -1,25 +1,13 @@
-//! Straggler regression suite for the cell-granularity execution engine.
+//! Straggler suite for the execution engine.
 //!
-//! The grid is the engine's worst case for instance-granularity sharding:
-//! one huge instance (a 2^18-node complete binary tree, as in the stress
-//! suite) plus 63 tiny ones. Under instance sharding the huge instance pins
-//! a single worker for its *entire* scheduler row; cell sharding spreads
-//! the row's cells over the pool, so the critical path shrinks from the sum
-//! of the row to its slowest cell.
-//!
-//! The wall-clock comparison is only meaningful with real parallel
-//! hardware, so it is `#[ignore]`d (CI runs it in release, like the stress
-//! suite) and additionally skips itself on hosts with fewer than four
-//! available CPUs:
-//!
-//! ```text
-//! cargo test --release --test straggler -- --ignored --nocapture
-//! ```
-//!
-//! The cheap structural checks (steal counters, cell accounting,
-//! sharding-independent results) run everywhere, single-core included. The
-//! steal check does not wait for thread timing to produce a steal: the
-//! huge instance's cells hold their worker until a thief joins them.
+//! The grid is one huge instance (a complete binary tree) plus tiny ones,
+//! the shape that punishes an engine that hands out whole instances: the
+//! huge instance's scheduler row would serialize on one worker. The engine
+//! claims cells longest first, so the huge instance's cells start first,
+//! each on a worker of its own, while the tiny ones fill the other
+//! workers. These checks hold on any host, single-core included: the
+//! overlap check does not wait for thread timing, because the huge
+//! instance's cells hold their worker until a second worker is inside one.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -50,87 +38,27 @@ fn straggler_instances(huge_height: usize, tiny_count: usize) -> Vec<(String, Tr
     instances
 }
 
-/// Runs the grid once and returns the engine's own wall-clock and stats.
-fn timed_run(
-    instances: &[(String, Tree)],
-    granularity: Granularity,
-    threads: usize,
-) -> (Duration, EngineStats, ExperimentResults) {
-    let registry = SchedulerRegistry::with_builtins();
-    run_row(
-        instances,
-        registry.get_list(ROW).unwrap(),
-        granularity,
-        threads,
-    )
-}
-
-/// [`timed_run`] with the row's schedulers given.
+/// Runs the grid once on `threads` workers and returns the engine's stats
+/// with the results.
 fn run_row(
     instances: &[(String, Tree)],
     row: Vec<Arc<dyn Scheduler>>,
-    granularity: Granularity,
     threads: usize,
-) -> (Duration, EngineStats, ExperimentResults) {
+) -> (EngineStats, ExperimentResults) {
     let mut config = ExperimentConfig::new(row, MemoryBound::Middle);
     config.threads = threads;
-    config.granularity = granularity;
     let results = run_experiment(instances, &config).expect("Middle bound is feasible");
     let stats = results.engine.clone().expect("the engine reports stats");
-    (stats.elapsed, stats, results)
+    (stats, results)
 }
 
-/// The headline regression: with at least four real workers, cell
-/// sharding must beat instance sharding on wall-clock, because the huge
-/// row no longer serializes on one worker. Ignored by default — it is a
-/// wall-time benchmark and needs parallel hardware to mean anything.
-#[test]
-#[ignore = "straggler wall-time benchmark: run explicitly in release (CI does)"]
-fn cell_sharding_beats_instance_sharding_with_four_workers() {
-    let cpus = std::thread::available_parallelism().map_or(1, usize::from);
-    if cpus < 4 {
-        println!("skipped: needs >= 4 available CPUs, host has {cpus}");
-        return;
-    }
-    let instances = straggler_instances(17, 63); // 2^18 - 1 huge nodes
-    let threads = cpus.min(8);
-
-    // Warm-up run (page-in, allocator steady state), then take the best of
-    // two timed runs per sharding to damp scheduler noise.
-    let _ = timed_run(&instances, Granularity::Cell, threads);
-    let best = |granularity| {
-        (0..2)
-            .map(|_| timed_run(&instances, granularity, threads).0)
-            .min()
-            .unwrap()
-    };
-    let instance_wall = best(Granularity::Instance);
-    let cell_wall = best(Granularity::Cell);
-    let ratio = instance_wall.as_secs_f64() / cell_wall.as_secs_f64();
-    println!(
-        "straggler x{threads}: instance {:.1} ms, cell {:.1} ms, ratio {ratio:.2}",
-        instance_wall.as_secs_f64() * 1e3,
-        cell_wall.as_secs_f64() * 1e3,
-    );
-    assert!(
-        cell_wall < instance_wall,
-        "cell sharding lost to instance sharding: {cell_wall:?} >= {instance_wall:?}"
-    );
-
-    // Steals are what spreads the huge row: the thieves must have fired.
-    let (_, stats, _) = timed_run(&instances, Granularity::Cell, threads);
-    assert!(
-        stats.total_stolen() > 0,
-        "no cells were stolen on the straggler grid"
-    );
-}
-
-/// How long a huge cell waits for a thief before the test gives up on it.
-const THIEF_TIMEOUT: Duration = Duration::from_secs(30);
+/// How long a huge cell waits for a second worker before the test gives up
+/// on it.
+const PEER_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// The workers inside the huge instance's cells.
 #[derive(Default)]
-struct StealGate {
+struct OverlapGate {
     state: Mutex<GateState>,
     changed: Condvar,
 }
@@ -141,13 +69,13 @@ struct GateState {
     inside: usize,
     /// Two workers were inside at once.
     overlapped: bool,
-    /// A cell stopped waiting for a thief.
+    /// A cell stopped waiting for a second worker.
     timed_out: bool,
 }
 
-impl StealGate {
+impl OverlapGate {
     /// Enters a huge cell and waits until another worker is inside one
-    /// too, or until [`THIEF_TIMEOUT`].
+    /// too, or until [`PEER_TIMEOUT`].
     fn enter(&self) {
         let mut state = self.state.lock().unwrap();
         state.inside += 1;
@@ -157,7 +85,7 @@ impl StealGate {
         }
         let (mut state, wait) = self
             .changed
-            .wait_timeout_while(state, THIEF_TIMEOUT, |s| !s.overlapped && !s.timed_out)
+            .wait_timeout_while(state, PEER_TIMEOUT, |s| !s.overlapped && !s.timed_out)
             .unwrap();
         if wait.timed_out() {
             state.timed_out = true;
@@ -174,17 +102,15 @@ impl StealGate {
 }
 
 /// One of the row's schedulers whose cells on the huge instance (the only
-/// tree of `huge_len` nodes) pass through `gate`. The worker that prepared
-/// the instance owns its cells and runs them one at a time, so a second
-/// worker inside one of them can only have stolen it: the gate forces the
-/// steal instead of leaving it to thread timing.
-struct WaitForThief {
+/// tree of `huge_len` nodes) pass through `gate`: a worker inside one waits
+/// for a second worker to enter another.
+struct WaitForPeer {
     inner: Arc<dyn Scheduler>,
     huge_len: usize,
-    gate: Arc<StealGate>,
+    gate: Arc<OverlapGate>,
 }
 
-impl Scheduler for WaitForThief {
+impl Scheduler for WaitForPeer {
     fn name(&self) -> String {
         self.inner.name()
     }
@@ -204,42 +130,34 @@ impl Scheduler for WaitForThief {
     }
 }
 
-/// Cheap structural check, meaningful even on a single-core host: the
-/// huge instance's solve cells land in one worker's deque (largest-first
-/// seeding) and idle workers steal them while their owner is busy. The
-/// owner's first huge cell waits for a thief, so a steal always happens.
+/// The huge instance's cells come first in the claim order, so the first
+/// worker to claim one waits in it, and the next worker claims the next
+/// huge cell: two workers are inside the straggler's cells at once.
 #[test]
-fn thieves_steal_the_straggler_cells() {
+fn workers_overlap_inside_the_straggler_cells() {
     let instances = straggler_instances(10, 15); // 2^11 - 1 huge nodes
-    let gate = Arc::new(StealGate::default());
+    let gate = Arc::new(OverlapGate::default());
     let registry = SchedulerRegistry::with_builtins();
     let row = registry.get_list(ROW).unwrap().into_iter().map(|inner| {
-        Arc::new(WaitForThief {
+        Arc::new(WaitForPeer {
             inner,
             huge_len: instances[0].1.len(),
             gate: Arc::clone(&gate),
         }) as Arc<dyn Scheduler>
     });
-    let (_, stats, results) = run_row(&instances, row.collect(), Granularity::Cell, 4);
+    let (stats, results) = run_row(&instances, row.collect(), 4);
 
     assert!(
         gate.overlapped(),
-        "no second worker entered the huge instance's cells within {THIEF_TIMEOUT:?}"
+        "no second worker entered the huge instance's cells within {PEER_TIMEOUT:?}"
     );
-    assert_eq!(stats.granularity, Granularity::Cell);
     assert_eq!(stats.threads, 4);
-    assert_eq!(stats.workers.len(), 4);
     assert_eq!(stats.cells, 16 * 3, "16 instances x 3 scheduler cells");
     assert_eq!(
         stats.total_executed(),
         16 * 4,
         "one prep plus three solve cells per instance"
     );
-    assert!(
-        stats.total_stolen() > 0,
-        "idle workers must steal the huge instance's cells"
-    );
-    assert!(stats.total_injected() > 0, "overflow work is injected");
     assert_eq!(results.results.len(), 16);
     // Per-cell wall-times are recorded for every scheduler column.
     for a in 0..3 {
@@ -247,13 +165,14 @@ fn thieves_steal_the_straggler_cells() {
     }
 }
 
-/// Sharding must never change the numbers: instance- and cell-granularity
-/// runs of the same straggler grid produce byte-identical CSV.
+/// The thread count must never change the numbers: runs of the same
+/// straggler grid on one and on four workers produce byte-identical CSV.
 #[test]
 fn sharding_is_invisible_in_the_results() {
     let instances = straggler_instances(8, 9); // 2^9 - 1 huge nodes
-    let (_, _, cell) = timed_run(&instances, Granularity::Cell, 4);
-    let (_, instance_stats, instance) = timed_run(&instances, Granularity::Instance, 1);
-    assert_eq!(instance_stats.granularity, Granularity::Instance);
-    assert_eq!(cell.to_csv(), instance.to_csv());
+    let row = || SchedulerRegistry::with_builtins().get_list(ROW).unwrap();
+    let (parallel_stats, parallel) = run_row(&instances, row(), 4);
+    let (serial_stats, serial) = run_row(&instances, row(), 1);
+    assert_eq!((serial_stats.threads, parallel_stats.threads), (1, 4));
+    assert_eq!(serial.to_csv(), parallel.to_csv());
 }
